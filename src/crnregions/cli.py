@@ -75,11 +75,15 @@ def _build_regions(net):
 
 
 def _emit(payload: dict, fmt: str, text_lines) -> None:
+    # An explicit file: without one, click caches a wrapper per sys.stdout
+    # object that keeps the stream alive, so every in-process invocation
+    # under a redirected stdout would keep its whole output in memory.
+    out = sys.stdout
     if fmt == "json":
-        click.echo(json.dumps(payload, indent=2, sort_keys=True))
+        click.echo(json.dumps(payload, indent=2, sort_keys=True), file=out)
     else:
         for line in text_lines(payload):
-            click.echo(line)
+            click.echo(line, file=out)
 
 
 def _parse_box(value: str) -> tuple[float, float]:
@@ -180,23 +184,22 @@ def _self_check(net, enabling: Region, seed: int, samples: int) -> int:
 
 
 def _near_boundary(region: Region, pt, rel: float = 1e-6) -> bool:
+    """Whether some condition's value is within rel of 0, relative to the sum
+    of its terms' magnitudes (exact values, each term computed once)."""
     for conj in region.conjuncts:
         for cond in conj:
-            val = cond.poly.evaluate(pt)
-            scale = sum(
-                abs(Fraction(c) * _mono(pt, e)) for c, e in cond.poly.sorted_terms()
-            )
+            terms = []
+            for exps, c in cond.poly.terms.items():
+                t = Fraction(c)
+                for base, e in zip(pt, exps):
+                    if e:
+                        t *= base**e
+                terms.append(t)
+            val = sum(terms)
+            scale = sum(abs(t) for t in terms)
             if scale != 0 and abs(val) < rel * scale:
                 return True
     return False
-
-
-def _mono(pt, exps) -> Fraction:
-    v = Fraction(1)
-    for base, e in zip(pt, exps):
-        if e:
-            v *= Fraction(base) ** e
-    return v
 
 
 @main.command("analyze")

@@ -16,9 +16,10 @@ are reported through flags instead of being folded into the count.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from typing import Callable
 
 from .network import (
     ConservationMatrix,
@@ -31,6 +32,7 @@ from .network import (
 from .unipoly import (
     UniPoly,
     isolate_positive_roots,
+    positive_roots,
     refine_root,
     sturm_count_open_interval,
     sturm_count_positive,
@@ -105,7 +107,8 @@ class ParamPoly:
         for (xe, ke), c in self.terms.items():
             v = c
             for base, e in zip(kappa, ke):
-                v *= Fraction(base) ** e
+                if e:
+                    v *= base**e
             if v:
                 out[xe] = out.get(xe, Fraction(0)) + v
         return {xe: v for xe, v in out.items() if v != 0}
@@ -164,11 +167,20 @@ def steady_state_system(net: ReactionNetwork) -> SteadyStateSystem:
 
 @dataclass
 class SteadyStateCount:
+    """The oracle's answer.  The count is exact; the steady states behind
+    ``witnesses`` are found on first access, because isolating and refining
+    roots costs far more than counting them and most callers read only
+    ``count``."""
+
     count: int
-    witnesses: list[tuple[Fraction, ...]]
+    find_witnesses: Callable[[], list[tuple[Fraction, ...]]] = field(repr=False, compare=False)
     certified: bool
     boundary: bool = False  # a multiple positive root exists
     continuum: bool = False  # positive steady states form a continuum
+
+    @cached_property
+    def witnesses(self) -> list[tuple[Fraction, ...]]:
+        return self.find_witnesses()
 
 
 def _univariate(sub: dict[tuple[int, ...], Fraction], axis: int) -> UniPoly:
@@ -179,17 +191,6 @@ def _univariate(sub: dict[tuple[int, ...], Fraction], axis: int) -> UniPoly:
             coeffs.extend([Fraction(0)] * (e + 1 - len(coeffs)))
         coeffs[e] += c
     return UniPoly(coeffs)
-
-
-def _has_multiple_positive_root(p: UniPoly) -> bool:
-    if p.is_zero or p.degree() < 1:
-        return False
-    g = p.gcd(p.derivative())
-    return not g.is_zero and g.degree() >= 1 and sturm_count_positive(g) > 0
-
-
-def _witnesses_1d(p: UniPoly) -> list[Fraction]:
-    return [refine_root(p, a, b) for a, b in isolate_positive_roots(p)]
 
 
 def count_positive_steady_states(
@@ -216,13 +217,15 @@ def count_positive_steady_states(
     if n == 1:
         p = _univariate(sys.odes[0].substitute_rates(kappa), 0)
         if p.is_zero:
-            return SteadyStateCount(2, [Fraction(1), Fraction(2)], True, continuum=True)
+            return SteadyStateCount(
+                2, lambda: [(Fraction(1),), (Fraction(2),)], True, continuum=True
+            )
         count = sturm_count_positive(p)
         return SteadyStateCount(
-            count,
-            [(w,) for w in _witnesses_1d(p)],
+            int(count),
+            lambda: [(r,) for r in positive_roots(p)],
             True,
-            boundary=_has_multiple_positive_root(p),
+            boundary=count.multiple_positive,
         )
 
     subs = [sys.odes[j].substitute_rates(kappa) for j in range(2)]
@@ -239,43 +242,48 @@ def _count_on_line(sys: SteadyStateSystem, subs, cval: Fraction) -> SteadyStateC
     # pick an ODE that is not identically zero
     idx = 0 if subs[0] else 1
     if not subs[idx]:
-        return SteadyStateCount(2, [], True, continuum=True)
+        return SteadyStateCount(2, lambda: [], True, continuum=True)
     if w[1] != 0:
         # x2 = (c - w1*x1)/w2; both coordinates positive on an open x1-interval
         line = UniPoly([cval / w[1], -w[0] / w[1]])
         p = _compose_line(subs[idx], axis=0, line=line)
         lo, hi = _positive_segment(w, cval)
         if lo is None:
-            return SteadyStateCount(0, [], True)
+            return SteadyStateCount(0, lambda: [], True)
         if p.is_zero:
             mid = _segment_midpoint(lo, hi)
-            pts = [_line_point(line, mid)]
             mid2 = _segment_midpoint(mid, hi)
-            pts.append(_line_point(line, mid2))
-            return SteadyStateCount(2, pts, True, continuum=True)
+            return SteadyStateCount(
+                2,
+                lambda: [_line_point(line, mid), _line_point(line, mid2)],
+                True,
+                continuum=True,
+            )
         count = sturm_count_open_interval(p, lo, hi)
-        roots = [
-            refine_root(p, a, b)
-            for a, b in isolate_positive_roots(p)
-            if lo < (a + b) / 2 and (hi is None or (a + b) / 2 < hi)
-        ]
-        roots = [r for r in roots if r > lo and (hi is None or r < hi)]
-        witnesses = [_line_point(line, r) for r in roots]
         return SteadyStateCount(
-            count, witnesses, True, boundary=_has_multiple_positive_root(p)
+            int(count),
+            lambda: [
+                _line_point(line, r)
+                for r in positive_roots(p)
+                if r > lo and (hi is None or r < hi)
+            ],
+            True,
+            boundary=count.multiple_positive,
         )
     # w = [1, 0]: class fixes x1 = c; reduce to a univariate in x2
     if cval <= 0:
-        return SteadyStateCount(0, [], True)
+        return SteadyStateCount(0, lambda: [], True)
     q = _substitute_axis(subs[idx], axis=0, value=cval)
     if q.is_zero:
         return SteadyStateCount(
-            2, [(cval, Fraction(1)), (cval, Fraction(2))], True, continuum=True
+            2, lambda: [(cval, Fraction(1)), (cval, Fraction(2))], True, continuum=True
         )
     count = sturm_count_positive(q)
-    witnesses = [(cval, r) for r in _witnesses_1d(q)]
     return SteadyStateCount(
-        count, witnesses, True, boundary=_has_multiple_positive_root(q)
+        int(count),
+        lambda: [(cval, r) for r in positive_roots(q)],
+        True,
+        boundary=count.multiple_positive,
     )
 
 
@@ -381,7 +389,7 @@ def _count_full_dimensional(subs) -> SteadyStateCount:
     f1, f2 = subs
     if not f1 or not f2:
         # one ODE identically zero: cannot happen for full-dimensional nets
-        return SteadyStateCount(0, [], False)
+        return SteadyStateCount(0, lambda: [], False)
     deg1 = max(xe[1] for xe in f1)
     deg2 = max(xe[1] for xe in f2)
     if deg1 == 0 and deg2 == 0:
@@ -390,17 +398,20 @@ def _count_full_dimensional(subs) -> SteadyStateCount:
         p1, p2 = _univariate(f1, 0), _univariate(f2, 0)
         g = p1.gcd(p2)
         if g.degree() >= 1 and sturm_count_positive(g) > 0:
-            r = _witnesses_1d(g)[0]
-            return SteadyStateCount(
-                2, [(r, Fraction(1)), (r, Fraction(2))], True, continuum=True
-            )
-        return SteadyStateCount(0, [], True)
+
+            def states():
+                r = positive_roots(g)[0]
+                return [(r, Fraction(1)), (r, Fraction(2))]
+
+            return SteadyStateCount(2, states, True, continuum=True)
+        return SteadyStateCount(0, lambda: [], True)
     if deg1 == 0 or deg2 == 0:
-        # one ODE univariate in x1 (absolute concentration robustness shape)
+        # one ODE univariate in x1 (absolute concentration robustness shape);
+        # its x1 roots are needed to count partners, so they are found here
         uni, other = (f1, f2) if deg1 == 0 else (f2, f1)
         p = _univariate(uni, 0)
         total = 0
-        witnesses: list[tuple[Fraction, Fraction]] = []
+        partners: list[tuple[Fraction, UniPoly]] = []
         boundary = False
         certified = True
         for a, b in isolate_positive_roots(p):
@@ -409,14 +420,14 @@ def _count_full_dimensional(subs) -> SteadyStateCount:
                 if q.is_zero:
                     return SteadyStateCount(
                         2,
-                        [(a, Fraction(1)), (a, Fraction(2))],
+                        lambda: [(a, Fraction(1)), (a, Fraction(2))],
                         True,
                         continuum=True,
                     )
                 cnt = sturm_count_positive(q)
                 total += cnt
-                witnesses.extend((a, r) for r in _witnesses_1d(q))
-                boundary = boundary or _has_multiple_positive_root(q)
+                partners.append((a, q))
+                boundary = boundary or cnt.multiple_positive
             else:
                 # irrational x1 root: count partners at a refined approximation
                 certified = False
@@ -424,23 +435,30 @@ def _count_full_dimensional(subs) -> SteadyStateCount:
                 q = _substitute_axis(other, axis=0, value=approx)
                 if not q.is_zero:
                     total += sturm_count_positive(q)
-        return SteadyStateCount(total, witnesses, certified, boundary=boundary)
+        return SteadyStateCount(
+            total,
+            lambda: [(x1, r) for x1, q in partners for r in positive_roots(q)],
+            certified,
+            boundary=boundary,
+        )
 
     fc = _as_poly_in_x2(f1)
     gc = _as_poly_in_x2(f2)
     res = _poly_resultant_x2(fc, gc)
     if res.is_zero:
-        return SteadyStateCount(0, [], False)
-    boundary = _has_multiple_positive_root(res)
+        return SteadyStateCount(0, lambda: [], False)
+    boundary = sturm_count_positive(res).multiple_positive
     total = 0
-    witnesses = []
+    # per x1 root, in order: exact partners (found on first access) or the
+    # states the irrational path already had to find to count them
+    parts: list[Callable[[], list[tuple[Fraction, Fraction]]]] = []
     certified = not boundary
     for a, b in isolate_positive_roots(res):
         if a == b:
             g1 = _substitute_axis(f1, axis=0, value=a)
             g2 = _substitute_axis(f2, axis=0, value=a)
             if g1.is_zero and g2.is_zero:
-                return SteadyStateCount(2, [], False, continuum=True)
+                return SteadyStateCount(2, lambda: [], False, continuum=True)
             if g1.is_zero or g2.is_zero:
                 q = g2 if g1.is_zero else g1
             else:
@@ -449,19 +467,26 @@ def _count_full_dimensional(subs) -> SteadyStateCount:
                 continue
             cnt = sturm_count_positive(q)
             total += cnt
-            witnesses.extend((a, r) for r in _witnesses_1d(q))
+            parts.append(lambda a=a, q=q: [(a, r) for r in positive_roots(q)])
         else:
             certified = False
             approx = refine_root(res, a, b)
             g1 = _substitute_axis(f1, axis=0, value=approx)
             g2 = _substitute_axis(f2, axis=0, value=approx)
             # near-common positive roots of g1 confirmed by a small g2 residual
-            for r in _witnesses_1d(g1):
+            found = []
+            for r in positive_roots(g1):
                 scale = sum(abs(v) * abs(r) ** xe[1] for xe, v in f2.items()) or Fraction(1)
                 if abs(g2(r)) / scale < Fraction(1, 10**6):
                     total += 1
-                    witnesses.append((approx, r))
-    return SteadyStateCount(total, witnesses, certified, boundary=boundary)
+                    found.append((approx, r))
+            parts.append(lambda found=found: found)
+    return SteadyStateCount(
+        total,
+        lambda: [w for part in parts for w in part()],
+        certified,
+        boundary=boundary,
+    )
 
 
 def jacobian_restricted_rank(

@@ -5,9 +5,9 @@ intervals of the positive axis, Swan's closed-form discriminant for
 trinomials, and the sign trichotomy that counts positive roots of an
 alternating trinomial x^n - c*x^k + b.
 
-All counting paths use exact rational arithmetic; floating point appears
-only in root refinement helpers, which always start from exact
-Sturm-isolated intervals.
+Root counting runs on integer Sturm chains (primitive remainder
+sequences) and root refinement on exact dyadic bisection; no floating
+point is involved.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 
 class ZeroPolynomialError(ValueError):
@@ -70,12 +70,6 @@ class UniPoly:
         acc = Fraction(0)
         for c in reversed(self.coeffs):
             acc = acc * x + c
-        return acc
-
-    def eval_float(self, x: float) -> float:
-        acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * x + float(c)
         return acc
 
     def __eq__(self, other) -> bool:
@@ -172,12 +166,14 @@ class UniPoly:
         return a.monic()
 
     def squarefree_part(self) -> "UniPoly":
+        """self / gcd(self, self'), with coprime integer coefficients and a
+        positive leading one."""
         if self.is_zero:
             raise ZeroPolynomialError("squarefree part of zero polynomial")
-        if self.degree() == 0:
+        cs = _integer_coeffs(self)
+        if len(cs) == 1:
             return UniPoly([1])
-        g = self.gcd(self.derivative())
-        return (self // g).monic()
+        return UniPoly(_exact_quotient(cs, _sturm_chain(cs)[-1]))
 
     def strip_root_at_zero(self) -> tuple["UniPoly", int]:
         """Divide out the largest power of x; returns (quotient, multiplicity)."""
@@ -200,67 +196,176 @@ def descartes_sign_changes(p: UniPoly) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def sturm_chain(p: UniPoly) -> list[UniPoly]:
-    chain = [p.primitive(), p.derivative().primitive()]
-    while not chain[-1].is_zero and chain[-1].degree() > 0:
-        r = chain[-2] % chain[-1]
-        if r.is_zero:
+# ---------------------------------------------------------------------------
+# Integer core: Sturm chains as primitive remainder sequences
+#
+# A polynomial here is a list of Python ints, ascending degree.  Chains are
+# built from coprime integer coefficients with sign-corrected
+# pseudo-remainders (Brown-Traub primitive PRS), so no Fraction is created
+# while counting.  For a p that is not squarefree the chain of (p, p') ends
+# in gcd(p, p'), and its sign variations still count the distinct roots of p
+# between two points that are not roots (Basu-Pollack-Roy, Algorithms in
+# Real Algebraic Geometry, Thm 2.50): one chain answers both how many roots
+# lie in an interval and whether p has a multiple root.
+
+
+def _integer_coeffs(p: UniPoly) -> list[int]:
+    """Coprime integer coefficients of a positive rational multiple of p."""
+    den = math.lcm(*(c.denominator for c in p.coeffs))
+    return _primitive([c.numerator * (den // c.denominator) for c in p.coeffs])
+
+
+def _primitive(cs: list[int]) -> list[int]:
+    g = math.gcd(*cs)
+    return cs if g == 1 else [c // g for c in cs]
+
+
+def _neg_remainder(a: list[int], b: list[int]) -> list[int]:
+    """-rem(a, b) times a positive rational, primitive; [] when b divides a.
+
+    Pseudo-division multiplies the running remainder by lc(b) once per
+    eliminated term; an odd number of negative factors flips the sign back.
+    """
+    r = list(a)
+    db, lb = len(b) - 1, b[-1]
+    negate = True
+    while len(r) > db:
+        c = r.pop()
+        if c:
+            shift = len(r) - db
+            r = [x * lb for x in r]
+            for j in range(db):
+                r[shift + j] -= c * b[j]
+            if lb < 0:
+                negate = not negate
+    while r and r[-1] == 0:
+        r.pop()
+    if not r:
+        return r
+    return _primitive([-x for x in r] if negate else r)
+
+
+def _sturm_chain(cs: list[int]) -> list[list[int]]:
+    """Signed remainder sequence of cs and cs'; the last entry is gcd(cs, cs')."""
+    chain = [cs]
+    if len(cs) > 1:
+        chain.append(_primitive([i * c for i, c in enumerate(cs)][1:]))
+    while len(chain[-1]) > 1:
+        r = _neg_remainder(chain[-2], chain[-1])
+        if not r:
             break
-        chain.append((-r).primitive())
-    return [q for q in chain if not q.is_zero]
+        chain.append(r)
+    return chain
 
 
-def _variations(signs: Sequence[int]) -> int:
-    nz = [s for s in signs if s != 0]
+def _sign_at(cs: list[int], num: int, den: int) -> int:
+    """Sign of cs at num/den (den > 0), by homogeneous integer Horner."""
+    acc = cs[-1]
+    scale = 1
+    for c in reversed(cs[:-1]):
+        scale *= den
+        acc = acc * num + c * scale
+    return (acc > 0) - (acc < 0)
+
+
+def _variations(values: Iterable[int]) -> int:
+    """Sign changes along the values, zeros skipped."""
+    nz = [v > 0 for v in values if v]
     return sum(1 for a, b in zip(nz, nz[1:]) if a != b)
 
 
-def _variations_at(chain: Sequence[UniPoly], x: Fraction) -> int:
-    return _variations([_sign(q(x)) for q in chain])
+def _variations_at(chain: list[list[int]], x: Fraction | None) -> int:
+    """Sign variations of the chain at x; x = None means +inf."""
+    if x is None:
+        return _variations(q[-1] for q in chain)
+    if x == 0:
+        return _variations(q[0] for q in chain)
+    return _variations(_sign_at(q, x.numerator, x.denominator) for q in chain)
 
 
-def _variations_at_inf(chain: Sequence[UniPoly]) -> int:
-    return _variations([_sign(q.leading()) for q in chain])
+def _strip_root(cs: list[int], x: Fraction) -> tuple[list[int], int]:
+    """Divide cs by (den*X - num), x = num/den, while x is a root; returns
+    (quotient, multiplicity).  Gauss's lemma keeps the quotient integral."""
+    num, den = x.numerator, x.denominator
+    mult = 0
+    while len(cs) > 1 and _sign_at(cs, num, den) == 0:
+        q = [0] * (len(cs) - 1)
+        q[-1] = cs[-1] // den
+        for i in range(len(cs) - 2, 0, -1):
+            q[i - 1] = (cs[i] + num * q[i]) // den
+        cs = q
+        mult += 1
+    return cs, mult
 
 
-def _count_open(p: UniPoly, a: Fraction | None, b: Fraction | None) -> int:
-    """Distinct real roots of squarefree p in the open interval (a, b).
+def _has_positive_root(cs: list[int]) -> bool:
+    cs, _ = _strip_root(cs, Fraction(0))
+    if len(cs) == 1:
+        return False
+    chain = _sturm_chain(cs)
+    return _variations_at(chain, Fraction(0)) > _variations_at(chain, None)
 
-    ``a = None`` means 0 with the root at 0 excluded; ``b = None`` means +inf.
-    Endpoints that are roots are divided out first, so the count is for the
-    open interval.
+
+def _exact_quotient(a: list[int], b: list[int]) -> list[int]:
+    """a / b for b dividing a, primitive with a positive leading coefficient."""
+    db, lb = len(b) - 1, b[-1]
+    r = [x * lb ** (len(a) - db) for x in a]
+    q = [0] * (len(a) - db)
+    for k in range(len(q) - 1, -1, -1):
+        c = r[k + db] // lb
+        q[k] = c
+        for j, bj in enumerate(b):
+            r[k + j] -= c * bj
+    q = _primitive(q)
+    return q if q[-1] > 0 else [-c for c in q]
+
+
+class RootCount(int):
+    """A count of distinct roots that also records, from the same Sturm
+    chain, whether the polynomial has a multiple root in (0, inf)."""
+
+    multiple_positive: bool
+
+    def __new__(cls, count: int, multiple_positive: bool) -> "RootCount":
+        self = super().__new__(cls, count)
+        self.multiple_positive = multiple_positive
+        return self
+
+
+def _count_open(cs: list[int], a: Fraction, b: Fraction | None) -> RootCount:
+    """Distinct roots of cs in the open interval (a, b); b = None means +inf.
+
+    Roots at the endpoints are divided out first, so the chain is evaluated
+    at two non-roots; a positive endpoint that is a multiple root still
+    counts as a multiple positive root.
     """
-    if a is None:
-        a = Fraction(0)
-    for endpoint in (a, b):
-        if endpoint is not None:
-            while not p.is_zero and p.degree() >= 1 and p(endpoint) == 0:
-                p = p // UniPoly([-endpoint, 1])
-    if p.is_zero or p.degree() == 0:
-        return 0
-    chain = sturm_chain(p)
-    va = _variations_at(chain, a)
-    vb = _variations_at_inf(chain) if b is None else _variations_at(chain, b)
-    return va - vb
+    multiple = False
+    for x in (a, b):
+        if x is not None:
+            cs, mult = _strip_root(cs, x)
+            multiple = multiple or (mult > 1 and x > 0)
+    if len(cs) == 1:
+        return RootCount(0, multiple)
+    chain = _sturm_chain(cs)
+    count = _variations_at(chain, a) - _variations_at(chain, b)
+    gcd = chain[-1]
+    if not multiple and len(gcd) > 1:
+        multiple = _has_positive_root(gcd)
+    return RootCount(count, multiple)
 
 
-def sturm_count_positive(p: UniPoly) -> int:
-    """Number of distinct roots in (0, inf), via Sturm on the squarefree part."""
+def sturm_count_positive(p: UniPoly) -> RootCount:
+    """Number of distinct roots in (0, inf), by one integer Sturm chain."""
     if p.is_zero:
         raise ZeroPolynomialError("Sturm count requires a nonzero polynomial")
-    q, _ = p.strip_root_at_zero()
-    if q.degree() == 0:
-        return 0
-    return _count_open(q.squarefree_part(), Fraction(0), None)
+    return _count_open(_integer_coeffs(p), Fraction(0), None)
 
 
-def sturm_count_open_interval(p: UniPoly, a: Fraction, b: Fraction | None) -> int:
+def sturm_count_open_interval(p: UniPoly, a: Fraction, b: Fraction | None) -> RootCount:
     """Distinct roots of p in the open interval (a, b); b=None means +inf."""
     if p.is_zero:
         raise ZeroPolynomialError("Sturm count requires a nonzero polynomial")
-    if p.degree() == 0:
-        return 0
-    return _count_open(p.squarefree_part(), Fraction(a), b)
+    return _count_open(_integer_coeffs(p), Fraction(a), None if b is None else Fraction(b))
 
 
 def root_upper_bound(p: UniPoly) -> Fraction:
@@ -323,60 +428,83 @@ def isolate_positive_roots(p: UniPoly) -> list[tuple[Fraction, Fraction]]:
     """Disjoint open rational intervals, each holding exactly one positive root.
 
     Exact rational roots r are returned as the degenerate interval (r, r).
+    The closure of every other interval holds no other root of p, 0
+    included, so refine_root(p, a, b) converges to the root it isolates.
     """
-    q, _ = p.strip_root_at_zero()
+    q, v = p.strip_root_at_zero()
     sf = q.squarefree_part()
-    total = _count_open(sf, Fraction(0), None)
-    if total == 0:
-        return []
     rational = sorted(r for r in rational_roots(sf) if r > 0)
-    work = sf
+    work = _integer_coeffs(sf)
     for r in rational:
-        work = work // UniPoly([-r, 1])
+        work, _ = _strip_root(work, r)
     intervals: list[tuple[Fraction, Fraction]] = [(r, r) for r in rational]
-    remaining = total - len(rational)
-    if remaining:
-        lo, hi = Fraction(0), root_upper_bound(work)
-        stack = [(lo, hi, _count_open(work, lo, hi))]
-        while stack:
-            a, b, cnt = stack.pop()
-            if cnt == 0:
-                continue
-            if cnt == 1:
-                intervals.append((a, b))
-                continue
-            mid = (a + b) / 2
-            while work(mid) == 0:
-                # mid is an irrational-root-free rational, perturb
-                mid = (a + mid) / 2
-            left = _count_open(work, a, mid)
-            stack.append((a, mid, left))
-            stack.append((mid, b, cnt - left))
+    if len(work) == 1:
+        return intervals
+    chain = _sturm_chain(work)
+    others = rational + ([Fraction(0)] if v else [])
+
+    def split(a: Fraction, b: Fraction) -> tuple[Fraction, int]:
+        """A midpoint of (a, b) that is not a root, and the roots left of it."""
+        mid = (a + b) / 2
+        while _sign_at(work, mid.numerator, mid.denominator) == 0:
+            mid = (a + mid) / 2
+        return mid, _variations_at(chain, a) - _variations_at(chain, mid)
+
+    lo, hi = Fraction(0), root_upper_bound(UniPoly(work))
+    stack = [(lo, hi, _variations_at(chain, lo) - _variations_at(chain, hi))]
+    while stack:
+        a, b, cnt = stack.pop()
+        if cnt == 0:
+            continue
+        if cnt == 1:
+            while any(a <= r <= b for r in others):
+                mid, left = split(a, b)
+                a, b = (a, mid) if left else (mid, b)
+            intervals.append((a, b))
+            continue
+        mid, left = split(a, b)
+        stack.append((a, mid, left))
+        stack.append((mid, b, cnt - left))
     intervals.sort(key=lambda iv: iv[0])
     return intervals
 
 
 def refine_root(p: UniPoly, a: Fraction, b: Fraction, rel_width: Fraction = Fraction(1, 10**12)) -> Fraction:
-    """Bisect the isolating interval (a, b) down to relative width rel_width."""
+    """Bisect the isolating interval (a, b) down to relative width rel_width.
+
+    Bisects the squarefree part of p on dyadic midpoints, held as integer
+    numerators over one common denominator; the result is the same rational
+    that halving Fractions would give.
+    """
     if a == b:
         return a
-    sf = p.squarefree_part()
-    fa = sf(a)
-    if fa == 0:
+    sf = _integer_coeffs(p.squarefree_part())
+    den = math.lcm(a.denominator, b.denominator)
+    an, bn = a.numerator * (den // a.denominator), b.numerator * (den // b.denominator)
+    sa = _sign_at(sf, an, den)
+    if sa == 0:
         return a
-    if sf(b) == 0:
+    if _sign_at(sf, bn, den) == 0:
         return b
-    sa = _sign(fa)
-    while (b - a) > rel_width * max(abs(a), abs(b), Fraction(1)):
-        mid = (a + b) / 2
-        fm = sf(mid)
-        if fm == 0:
-            return mid
-        if _sign(fm) == sa:
-            a = mid
+    rel_width = Fraction(rel_width)
+    rn, rd = rel_width.numerator, rel_width.denominator
+    while (bn - an) * rd > rn * max(abs(an), abs(bn), den):
+        mn = an + bn
+        an, bn, den = 2 * an, 2 * bn, 2 * den
+        sm = _sign_at(sf, mn, den)
+        if sm == 0:
+            return Fraction(mn, den)
+        if sm == sa:
+            an = mn
         else:
-            b = mid
-    return (a + b) / 2
+            bn = mn
+    return Fraction(an + bn, 2 * den)
+
+
+def positive_roots(p: UniPoly) -> list[Fraction]:
+    """The distinct positive roots of p in increasing order: rational roots
+    exactly, the others refined by refine_root on their isolating intervals."""
+    return [a if a == b else refine_root(p, a, b) for a, b in isolate_positive_roots(p)]
 
 
 # ---------------------------------------------------------------------------

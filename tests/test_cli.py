@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
@@ -144,6 +145,39 @@ class TestWitnessCommand:
         )
         assert result.exit_code == 0
         assert "positive steady states: 2" in result.output
+
+    @pytest.mark.parametrize(
+        "net, kappa, roots",
+        [
+            # x (1 - x) (x^2 + 2x - 4) / 8, x^3 factored out of the ODE
+            (EX53, "1,1,1/8", (5**0.5 - 1, 2.0)),
+            # x (x^2 - 3x + 1)
+            (EQ19, "2,1,3,1", ((3 - 5**0.5) / 2, (3 + 5**0.5) / 2)),
+            # x (x^2 - 3x + 3/2)
+            (PROP51, "1,5/2,4,1,1,2", ((3 - 3**0.5) / 2, (3 + 3**0.5) / 2)),
+        ],
+    )
+    def test_root_at_zero_is_not_listed(self, runner, net, kappa, roots):
+        doc = run_json(runner, "witness", str(net), "--kappa", kappa)
+        assert doc["count"] == 2
+        states = sorted(float(Fraction(x)) for (x,) in doc["steady_states"])
+        assert states == pytest.approx(roots, rel=1e-10)
+
+    def test_states_near_the_segment_end_are_listed(self, runner):
+        # on the class x1 + x2 = 3 the states are x1 = (3 -/+ sqrt 5)/2
+        doc = run_json(runner, "witness", str(RUNNING), "--kappa", "1,1", "--c", "3")
+        assert doc["count"] == 2
+        small, large = (3 - 5**0.5) / 2, (3 + 5**0.5) / 2
+        states = sorted(tuple(float(Fraction(v)) for v in w) for w in doc["steady_states"])
+        assert states[0] == pytest.approx((small, large), rel=1e-10)
+        assert states[1] == pytest.approx((large, small), rel=1e-10)
+
+    def test_one_species_continuum(self, runner, tmp_path):
+        net = tmp_path / "flat.crn"
+        net.write_text("A -> 0; k1\nA -> 2A; k2\n")
+        doc = run_json(runner, "witness", str(net), "--kappa", "1,1")
+        assert doc["continuum"] is True
+        assert doc["steady_states"] == [["1"], ["2"]]
 
 
 class TestProbeCommand:

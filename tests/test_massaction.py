@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from crnregions import massaction
 from crnregions.massaction import (
     ParamPoly,
     count_positive_steady_states,
@@ -92,6 +93,21 @@ class TestOracle2D:
             (Fraction(1, 2), Fraction(2)),
             (Fraction(2), Fraction(1, 2)),
         ]
+
+    def test_states_found_only_when_read(self, running_net, monkeypatch):
+        calls = []
+        real = massaction.positive_roots
+        monkeypatch.setattr(
+            massaction, "positive_roots", lambda p: calls.append(p) or real(p)
+        )
+        sys = steady_state_system(running_net)
+        res = count_positive_steady_states(sys, (1, 1), (Fraction(5, 2),))
+        assert res.count == 2 and calls == []
+        assert sorted(res.witnesses) == sorted(res.witnesses) == [
+            (Fraction(1, 2), Fraction(2)),
+            (Fraction(2), Fraction(1, 2)),
+        ]
+        assert len(calls) == 1
 
     def test_running_example_below_threshold(self, running_net):
         sys = steady_state_system(running_net)

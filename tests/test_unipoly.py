@@ -12,6 +12,7 @@ from crnregions.unipoly import (
     descartes_sign_changes,
     discriminant_via_resultant,
     isolate_positive_roots,
+    positive_roots,
     rational_roots,
     refine_root,
     resultant,
@@ -118,6 +119,114 @@ class TestRootCounting:
         for r in distinct:
             p = p * poly(-r, 1)
         assert sturm_count_positive(p) == len(distinct)
+
+
+def _fraction_bisection(p, a, b, rel_width=Fraction(1, 10**12)):
+    """Reference: refine_root's bisection carried out on Fractions."""
+    sf = p.squarefree_part()
+    fa = sf(a)
+    if fa == 0:
+        return a
+    if sf(b) == 0:
+        return b
+    while (b - a) > rel_width * max(abs(a), abs(b), Fraction(1)):
+        mid = (a + b) / 2
+        fm = sf(mid)
+        if fm == 0:
+            return mid
+        if (fm > 0) == (fa > 0):
+            a = mid
+        else:
+            b = mid
+    return (a + b) / 2
+
+
+class TestIntegerCore:
+    def test_multiple_positive_root_flag(self):
+        assert sturm_count_positive(poly(-1, 1) ** 2 * poly(-3, 1)).multiple_positive
+        assert not sturm_count_positive(poly(1, 1) ** 2 * poly(-3, 1)).multiple_positive
+        assert not sturm_count_positive(poly(0, 0, -3, 1)).multiple_positive
+        # a double root at an endpoint of the interval still counts
+        p = poly(-2, 1) ** 2 * poly(-1, 1)
+        count = sturm_count_open_interval(p, Fraction(0), Fraction(2))
+        assert count == 1 and count.multiple_positive
+
+    def test_interval_never_holds_zero_root(self):
+        # x (x - 2) (x^2 + 2x - 4): the roots 0 and 2 are rational
+        p = poly(0, 1) * poly(-2, 1) * poly(-4, 2, 1)
+        intervals = isolate_positive_roots(p)
+        assert len(intervals) == 2
+        (a, b), (r, s) = intervals
+        assert 0 < a < b < 2 and r == s == 2
+        assert abs(float(positive_roots(p)[0]) - (5**0.5 - 1)) < 1e-11
+
+    @given(
+        st.lists(st.integers(-9, 9), min_size=1, max_size=6).filter(any),
+        st.lists(st.integers(-3, 3), min_size=3, max_size=3),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_refine_matches_fraction_bisection(self, coeffs, roots):
+        p = UniPoly(coeffs) * poly(-2, 0, 1)
+        for r in roots:
+            p = p * poly(-r, 1)
+        for a, b in isolate_positive_roots(p):
+            if a != b:
+                assert refine_root(p, a, b) == _fraction_bisection(p, a, b)
+
+
+@st.composite
+def _factored_polys(draw):
+    """Integer polynomials from factors: a power of x, repeated rational
+    roots, and quadratics that are mostly irreducible."""
+    p = poly(draw(st.sampled_from([1, -1, 3, -6])))
+    p = p * poly(0, 1) ** draw(st.integers(0, 2))
+    for _ in range(draw(st.integers(0, 3))):
+        r = draw(st.fractions(min_value=-3, max_value=3, max_denominator=3))
+        p = p * poly(-r.numerator, r.denominator) ** draw(st.integers(1, 3))
+    for _ in range(draw(st.integers(0, 2))):
+        b, c = draw(st.integers(-7, 7)), draw(st.integers(-7, 7))
+        p = p * poly(c, b, 1) ** draw(st.integers(1, 2))
+    return p
+
+
+class TestAgainstSympy:
+    """The integer core against sympy's exact real roots."""
+
+    @given(_factored_polys(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_counts_flags_and_roots(self, p, data):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        ref = sympy.Poly([int(c) for c in reversed(p.coeffs)], x)
+        real = ref.real_roots(multiple=False) if ref.degree() > 0 else []
+        positive = [(r, m) for r, m in real if r.is_positive]
+
+        count = sturm_count_positive(p)
+        assert count == len(positive)
+        assert count.multiple_positive == any(m > 1 for _, m in positive)
+
+        ends = [Fraction(0)] + [Fraction(int(r.p), int(r.q)) for r, _ in positive if r.is_Rational]
+        lo = data.draw(st.sampled_from(ends) | st.fractions(0, 3, max_denominator=4))
+        hi = data.draw(
+            st.none() | st.sampled_from(ends) | st.fractions(0, 5, max_denominator=4)
+        )
+        if hi is not None and hi <= lo:
+            hi = None
+        inside = [
+            r for r, _ in real
+            if r > sympy.Rational(lo.numerator, lo.denominator)
+            and (hi is None or r < sympy.Rational(hi.numerator, hi.denominator))
+        ]
+        assert sturm_count_open_interval(p, lo, hi) == len(inside)
+
+        roots = positive_roots(p)
+        assert len(roots) == len(positive)
+        for ours, (theirs, _) in zip(roots, positive):
+            if theirs.is_Rational:
+                assert ours == Fraction(int(theirs.p), int(theirs.q))
+            else:
+                value = float(theirs.evalf(30))
+                assert abs(float(ours) - value) <= 1e-12 * max(value, 1) + 1e-15
 
 
 class TestResultantAndSwan:

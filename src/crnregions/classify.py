@@ -55,10 +55,6 @@ class OneSpeciesProfile:
         )
         return cls(tuple(pairs))
 
-    @property
-    def step_sizes(self) -> tuple[int, ...]:
-        return tuple(abs(p - m) for m, p in self.pairs)
-
 
 def classify_one_species(net: ReactionNetwork) -> ClassificationVerdict:
     """Apply the one-species, up-to-three-reaction classification."""

@@ -9,11 +9,10 @@ inconsistency (region/oracle disagreement).
 from __future__ import annotations
 
 import json
-import math
-import random
 import re
 import sys
 from fractions import Fraction
+from typing import NoReturn
 
 import click
 
@@ -32,7 +31,7 @@ from .network import (
 from .regions import (
     Region,
     connectivity_verdict,
-    membership,
+    oracle_sweep,
     region_to_json,
     regions_for_network,
 )
@@ -52,26 +51,30 @@ EXIT_UNSUPPORTED = 3
 EXIT_INCONSISTENT = 4
 
 
+def _fail(message: str, code: int) -> NoReturn:
+    # An explicit file, as in _emit: click's cached per-stream wrapper
+    # would keep every redirected sys.stderr alive.
+    click.echo(message, file=sys.stderr)
+    sys.exit(code)
+
+
 def _load_network(path: str):
     try:
         with open(path) as fh:
             text = fh.read()
     except OSError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_PARSE)
+        _fail(f"error: {exc}", EXIT_PARSE)
     try:
         return parse_network(text)
     except NetworkParseError as exc:
-        click.echo(f"parse error: {exc}", err=True)
-        sys.exit(EXIT_PARSE)
+        _fail(f"parse error: {exc}", EXIT_PARSE)
 
 
 def _build_regions(net):
     try:
         return regions_for_network(net)
     except UnsupportedFamilyError as exc:
-        click.echo(f"unsupported family: {exc}", err=True)
-        sys.exit(EXIT_UNSUPPORTED)
+        _fail(f"unsupported family: {exc}", EXIT_UNSUPPORTED)
 
 
 def _emit(payload: dict, fmt: str, text_lines) -> None:
@@ -155,53 +158,6 @@ def _region_payload(region: Region) -> dict:
     return region_to_json(region, connectivity_verdict(region))
 
 
-def _self_check(net, enabling: Region, seed: int, samples: int) -> int:
-    """Compare region membership against the root-counting oracle.
-
-    Returns the number of disagreements over boundary-rejected samples.
-    """
-    sys_ = steady_state_system(net)
-    rng = random.Random(seed)
-    bad = 0
-    done = 0
-    while done < samples:
-        pt = []
-        for sym in enabling.ambient:
-            mag = Fraction(math.exp(rng.uniform(-6 * math.log(2), 6 * math.log(2))))
-            if sym.startswith("c") and rng.random() < 0.5:
-                mag = -mag
-            pt.append(mag.limit_denominator(10**9))
-        if _near_boundary(enabling, pt):
-            continue
-        done += 1
-        kappa = tuple(pt[: net.num_reactions])
-        c = tuple(pt[net.num_reactions:])
-        inside = membership(enabling, pt)
-        result = count_positive_steady_states(sys_, kappa, c)
-        if inside != (result.count >= 2):
-            bad += 1
-    return bad
-
-
-def _near_boundary(region: Region, pt, rel: float = 1e-6) -> bool:
-    """Whether some condition's value is within rel of 0, relative to the sum
-    of its terms' magnitudes (exact values, each term computed once)."""
-    for conj in region.conjuncts:
-        for cond in conj:
-            terms = []
-            for exps, c in cond.poly.terms.items():
-                t = Fraction(c)
-                for base, e in zip(pt, exps):
-                    if e:
-                        t *= base**e
-                terms.append(t)
-            val = sum(terms)
-            scale = sum(abs(t) for t in terms)
-            if scale != 0 and abs(val) < rel * scale:
-                return True
-    return False
-
-
 @main.command("analyze")
 @click.argument("file", type=click.Path())
 @fmt_option
@@ -231,15 +187,14 @@ def cmd_analyze(file: str, fmt: str, seed: int, samples: int, no_verify: bool) -
         "seed": seed,
     }
     if not no_verify:
-        bad = _self_check(net, enabling, seed, samples)
+        bad = len(oracle_sweep(net, enabling, seed, samples))
         payload["self_check"] = {"samples": samples, "disagreements": bad}
         if bad:
-            click.echo(
-                f"internal inconsistency: {bad}/{samples} self-check disagreements",
-                err=True,
-            )
             _emit(payload, fmt, _analyze_text)
-            sys.exit(EXIT_INCONSISTENT)
+            _fail(
+                f"internal inconsistency: {bad}/{samples} self-check disagreements",
+                EXIT_INCONSISTENT,
+            )
     _emit(payload, fmt, _analyze_text)
 
 
@@ -332,20 +287,18 @@ def cmd_witness(file, fmt, kappa, c_value, seed) -> None:
     net = _load_network(file)
     enabling, allowing = _build_regions(net)
     sys_ = steady_state_system(net)
-    n_c = len(enabling.ambient) - net.num_reactions
+    n_c = enabling.totals
     if kappa is not None:
         kap = _parse_fraction_list(kappa)
         cs = _parse_fraction_list(c_value) if c_value else ()
     else:
         stored = next((w for w in enabling.witnesses if w is not None), None)
         if stored is None:
-            click.echo("no stored witness and no --kappa given", err=True)
-            sys.exit(EXIT_UNSUPPORTED)
+            _fail("no stored witness and no --kappa given", EXIT_UNSUPPORTED)
         kap = stored[: net.num_reactions]
         cs = stored[net.num_reactions:]
     if len(kap) != net.num_reactions or len(cs) != n_c:
-        click.echo("parameter dimensions do not match the network", err=True)
-        sys.exit(EXIT_PARSE)
+        _fail("parameter dimensions do not match the network", EXIT_PARSE)
     result = count_positive_steady_states(sys_, kap, cs)
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -472,8 +425,7 @@ def cmd_count_roots(poly: str, fmt: str) -> None:
     """Compare Descartes, Sturm, and trinomial-trichotomy positive-root counts."""
     p = _parse_poly(poly)
     if p.is_zero:
-        click.echo("zero polynomial has no root count", err=True)
-        sys.exit(EXIT_PARSE)
+        _fail("zero polynomial has no root count", EXIT_PARSE)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "poly": poly,

@@ -9,9 +9,9 @@ sampling density.  It is numerical evidence, not a proof.
 
 Rate coordinates are strictly positive and are sampled log-uniformly;
 segments and distances for them live in log coordinates, which respects
-the monomial structure of the regions.  Total-constant coordinates
-("c...") may take either sign, so they are sampled uniformly over
-[-hi, hi] and treated linearly.
+the monomial structure of the regions.  Total-constant coordinates (the
+region's trailing `totals` symbols) may take either sign, so they are
+sampled uniformly over [-hi, hi] and treated linearly.
 """
 
 from __future__ import annotations
@@ -94,34 +94,22 @@ class _UnionFind:
             self.parent[ri] = rj
 
 
-def _is_signed(symbol: str) -> bool:
-    return symbol.startswith("c")
-
-
 def _sample_point(rng: random.Random, region: Region, lo: float, hi: float):
     llo, lhi = math.log(lo), math.log(hi)
-    pt = []
-    for sym in region.ambient:
-        if _is_signed(sym):
-            pt.append(rng.uniform(-hi, hi))
-        else:
-            pt.append(math.exp(rng.uniform(llo, lhi)))
-    return tuple(pt)
+    n = len(region.ambient) - region.totals
+    rates = tuple(math.exp(rng.uniform(llo, lhi)) for _ in range(n))
+    return rates + tuple(rng.uniform(-hi, hi) for _ in range(region.totals))
 
 
 def _coords(region: Region, point: Sequence[float]) -> tuple[float, ...]:
-    """Sampling coordinates: log for positive symbols, identity for signed."""
-    return tuple(
-        v if _is_signed(s) else math.log(v)
-        for s, v in zip(region.ambient, point)
-    )
+    """Sampling coordinates: log for rate constants, identity for totals."""
+    n = len(region.ambient) - region.totals
+    return tuple(map(math.log, point[:n])) + tuple(point[n:])
 
 
 def _from_coords(region: Region, coords: Sequence[float]) -> tuple[float, ...]:
-    return tuple(
-        v if _is_signed(s) else math.exp(v)
-        for s, v in zip(region.ambient, coords)
-    )
+    n = len(region.ambient) - region.totals
+    return tuple(map(math.exp, coords[:n])) + tuple(coords[n:])
 
 
 def _conjunct_indices(region: Region, pt) -> set[int]:

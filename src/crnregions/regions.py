@@ -4,7 +4,8 @@ Regions are finite unions of conjunctions of polynomial sign conditions
 with integer coefficients over the network's rate symbols (and a
 total-constant symbol c when the network has a conservation law).  All
 open regions use strict inequalities; degenerate families yield equality
-conditions on measure-zero sets.
+conditions on measure-zero sets.  Every allowing region is the projection
+of its enabling region onto the rate symbols (project_to_allowing).
 
 Enabling regions for two-species networks are stated with respect to the
 canonical RREF conservation-law matrix produced by the network module.
@@ -13,19 +14,14 @@ canonical RREF conservation-law matrix produced by the network module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import random
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Sequence
 
-from .classify import (
-    MatchedCase,
-    UnsupportedFamilyError,
-    build_box_diagram,
-    classify_one_species,
-    classify_two_species,
-)
-from .massaction import ParamPoly
-from .network import ReactionNetwork, conservation_matrix
+from .classify import UnsupportedFamilyError, build_box_diagram, classify_two_species
+from .massaction import count_positive_steady_states, ode_rhs, steady_state_system
+from .network import ReactionNetwork, conservation_matrix, is_full_dimensional
 from .unipoly import TrinomialForm, trinomial_D
 
 # ---------------------------------------------------------------------------
@@ -182,7 +178,9 @@ class Region:
     constants plus total-constant symbols).  An empty tuple of conjuncts is
     the empty region; a conjunct that is itself empty is the full positive
     orthant.  witnesses optionally stores one validated interior rational
-    point per conjunct.
+    point per conjunct.  totals is the number of trailing ambient symbols
+    that are total constants: they may take either sign, every other
+    symbol is a positive rate constant.
     """
 
     kind: str
@@ -190,6 +188,7 @@ class Region:
     conjuncts: tuple[tuple[SignCondition, ...], ...]
     case_tag: str
     witnesses: tuple[tuple[Fraction, ...] | None, ...] = field(default=None)
+    totals: int = 0
 
     def __post_init__(self) -> None:
         if self.kind not in ("allowing", "enabling"):
@@ -225,15 +224,6 @@ def membership_float(region: Region, point: Sequence[float]) -> bool:
 # One-species regions
 
 
-def net_ode_poly(net: ReactionNetwork) -> ParamPoly:
-    """The single mass-action ODE of a one-species network."""
-    if net.num_species != 1:
-        raise UnsupportedFamilyError("net ODE polynomial requires one species")
-    from .massaction import ode_rhs
-
-    return ode_rhs(net)[0]
-
-
 def one_species_coefficient_forms(net: ReactionNetwork) -> dict[int, SymPoly]:
     """Coefficient of x^m as a linear form in the rate symbols."""
     r = net.num_reactions
@@ -244,48 +234,6 @@ def one_species_coefficient_forms(net: ReactionNetwork) -> dict[int, SymPoly]:
         forms.setdefault(m, SymPoly(r))
         forms[m] = forms[m] + SymPoly.symbol(r, i, step)
     return {m: f for m, f in forms.items() if not f.is_zero()}
-
-
-def region_one_species_three_reactions(net: ReactionNetwork) -> Region:
-    """Single-inequality region for one-species, three-reaction networks."""
-    verdict = classify_one_species(net)
-    ambient = net.rate_labels
-    if not verdict.multistationary:
-        return Region("allowing", ambient, (), "one_species_not_multistationary")
-    # sorted reactant order fixes the roles of kappa_1, kappa_2, kappa_3
-    order = sorted(range(3), key=lambda i: net.reactions[i].reactant.coeffs[0])
-    ms = [net.reactions[i].reactant.coeffs[0] for i in order]
-    ells = [
-        abs(net.reactions[i].product.coeffs[0] - net.reactions[i].reactant.coeffs[0])
-        for i in order
-    ]
-    k, n = ms[1] - ms[0], ms[2] - ms[0]
-    d = math.gcd(n, k)
-    N, K = n // d, k // d
-    nsym = 3
-    t1 = SymPoly.monomial(
-        nsym,
-        n**N * ells[0] ** (N - K) * ells[2] ** K,
-        _unit_exps(nsym, {order[0]: N - K, order[2]: K}),
-    )
-    t2 = SymPoly.monomial(
-        nsym,
-        -((n - k) ** (N - K)) * k**K * ells[1] ** N,
-        _unit_exps(nsym, {order[1]: N}),
-    )
-    poly = (t1 + t2).normalized()
-    cond = SignCondition(poly, "<0")
-    witness = _one_species_witness(net, verdict.matched_case)
-    return Region(
-        "allowing", ambient, ((cond,),), "one_species_three_reactions", (witness,)
-    )
-
-
-def _unit_exps(nsym: int, assignments: dict[int, int]) -> tuple[int, ...]:
-    e = [0] * nsym
-    for idx, exp in assignments.items():
-        e[idx] += exp
-    return tuple(e)
 
 
 def _forced_sign(form: SymPoly) -> int:
@@ -401,15 +349,6 @@ def _pattern_witness(net, exps, pattern, n, k, N, K):
     return None
 
 
-def _one_species_witness(net, matched_case):
-    pattern = (1, -1, 1) if matched_case is MatchedCase.ONE_SPECIES_A else (-1, 1, -1)
-    forms = one_species_coefficient_forms(net)
-    exps = sorted(forms)
-    k, n = exps[1] - exps[0], exps[2] - exps[0]
-    d = math.gcd(n, k)
-    return _pattern_witness(net, exps, pattern, n, k, n // d, k // d)
-
-
 # ---------------------------------------------------------------------------
 # Two-species, two-reaction regions
 
@@ -462,48 +401,37 @@ def cutoff_c_star(net: ReactionNetwork) -> CutoffFunction:
     return CutoffFunction(u1, a1, a2, box.gamma, box.alpha, box.lam)
 
 
-def _fraction_as_sympoly_pair(q: Fraction) -> tuple[int, int]:
-    return q.numerator, q.denominator
-
-
 def region_two_species_two_reactions(net: ReactionNetwork) -> tuple[Region, Region]:
     """(enabling, allowing) regions of a two-species, two-reaction network.
 
     The enabling region is w.r.t. the RREF conservation-law matrix; its
-    ambient symbols are the two rate labels followed by "c".
+    ambient symbols are the two rate labels followed by the total constant
+    "c".  The allowing region is its projection.
     """
     verdict = classify_two_species(net)
-    box = build_box_diagram(net)
-    labels = net.rate_labels
-    amb_en = labels + ("c",)
-    amb_al = labels
     tag = f"two_species_{verdict.matched_case.value}_{verdict.detail}".replace(" ", "_")
+    witnesses = None
     if not verdict.multistationary:
-        return (
-            Region("enabling", amb_en, (), tag),
-            Region("allowing", amb_al, (), tag),
-        )
-    lam = box.lam
-    if verdict.nondegenerate:
-        cut = cutoff_c_star(net)
-        enabling = _nondegenerate_enabling(net, cut, amb_en, tag)
-        allowing = Region("allowing", amb_al, ((),), tag)
-        return enabling, allowing
-    # degenerate cases
-    detail = verdict.detail
-    nsym = 3
-    kap = SymPoly.symbol(nsym, 0)
-    kapt = SymPoly.symbol(nsym, 1)
-    ln, ld = _fraction_as_sympoly_pair(lam)
+        conjuncts = ()
+    elif verdict.nondegenerate:
+        conj, witness = _nondegenerate_enabling(net, cutoff_c_star(net))
+        conjuncts, witnesses = (conj,), (witness,)
+    else:
+        conjuncts = (_degenerate_conditions(net, verdict.detail),)
+    enabling = Region(
+        "enabling", net.rate_labels + ("c",), conjuncts, tag, witnesses, totals=1
+    )
+    return enabling, project_to_allowing(enabling)
+
+
+def _degenerate_conditions(net, detail: str) -> tuple[SignCondition, ...]:
+    """Enabling conditions of degenerate case 1-4 over (kappa, kappa_tilde, c)."""
+    box = build_box_diagram(net)
+    kap, kapt, c = (SymPoly.symbol(3, i) for i in range(3))
+    ln, ld = box.lam.numerator, box.lam.denominator
     if detail == "case 2":
         # with y' - y = -lam (y~' - y~), steady states exist iff kappa_tilde = lam kappa
-        eq = SignCondition((kapt.scale(ld) - kap.scale(ln)).normalized(), "=0")
-        enabling = Region("enabling", amb_en, ((eq,),), tag)
-        allowing = Region("allowing", amb_al, ((SignCondition(
-            (SymPoly.symbol(2, 1).scale(ld) - SymPoly.symbol(2, 0).scale(ln)).normalized(),
-            "=0",
-        ),),), tag)
-        return enabling, allowing
+        return (SignCondition((kapt.scale(ld) - kap.scale(ln)).normalized(), "=0"),)
     if detail == "case 1":
         u1 = box.y_prime[0] - box.y[0]
         u2 = box.y_prime[1] - box.y[1]
@@ -515,16 +443,7 @@ def region_two_species_two_reactions(net: ReactionNetwork) -> tuple[Region, Regi
         else:
             lhs = kap.scale(ln * u2 ** (-a2))
             rhs = kapt.scale(ld * u1 ** (-a2))
-        eq = SignCondition((lhs - rhs).normalized(), "=0")
-        czero = SignCondition(SymPoly.symbol(nsym, 2), "=0")
-        enabling = Region("enabling", amb_en, ((czero, eq),), tag)
-        allowing = Region(
-            "allowing",
-            amb_al,
-            ((SignCondition(SymPoly(2, {e[:2]: c for e, c in eq.poly.terms.items()}), "=0"),),),
-            tag,
-        )
-        return enabling, allowing
+        return (SignCondition(c, "=0"), SignCondition((lhs - rhs).normalized(), "=0"))
     # cases 3 and 4: the steady-state set is an axis-parallel line matching
     # exactly one compatibility class
     if detail == "case 3":
@@ -532,22 +451,16 @@ def region_two_species_two_reactions(net: ReactionNetwork) -> tuple[Region, Regi
     else:
         e = box.y[1] - box.y_tilde[1]
     # steady-state line: c^e = kappa_tilde / (lam * kappa), e = y_i - y~_i
-    c = SymPoly.symbol(nsym, 2)
     if e > 0:
         poly = (kap * c**e).scale(ln) - kapt.scale(ld)
     else:
         poly = (kapt * c ** (-e)).scale(ld) - kap.scale(ln)
-    conds = (
-        SignCondition(c, ">0"),
-        SignCondition(poly.normalized(), "=0"),
-    )
-    enabling = Region("enabling", amb_en, (conds,), tag)
-    allowing = Region("allowing", amb_al, ((),), tag)
-    return enabling, allowing
+    return (SignCondition(c, ">0"), SignCondition(poly.normalized(), "=0"))
 
 
-def _nondegenerate_enabling(net, cut: CutoffFunction, ambient, tag) -> Region:
-    """Enabling region from the cutoff case analysis, in RREF-c coordinates."""
+def _nondegenerate_enabling(net, cut: CutoffFunction):
+    """Enabling conjunct from the cutoff case analysis, in RREF-c coordinates,
+    with a witness inside it."""
     w = conservation_matrix(net).rows[0]
     u1 = cut.u1
     u2 = int(cut.gamma * u1)
@@ -588,19 +501,27 @@ def _nondegenerate_enabling(net, cut: CutoffFunction, ambient, tag) -> Region:
     c_cond = SignCondition(
         SymPoly.symbol(nsym, 2, 1 if s_c > 0 else -1), ">0"
     )
-    witness = _nondeg_enabling_witness(cut, mu, s_c, bigger)
-    return Region("enabling", ambient, ((c_cond, main),), tag, (witness,))
+    conj = (c_cond, main)
+    return conj, _nondeg_enabling_witness(cut, mu, conj, bigger)
 
 
-def _nondeg_enabling_witness(cut: CutoffFunction, mu, s_c, bigger):
-    """A rational (kappa, kappa_tilde, c) strictly inside the region."""
-    kappa = Fraction(1)
-    kappa_tilde = Fraction(1)
-    tstar = cut.evaluate(kappa, kappa_tilde)
+def _nondeg_enabling_witness(cut: CutoffFunction, mu, conj, bigger):
+    """A rational (1, 1, c) strictly inside the conjunct, or None.
+
+    Starts from the floating-point guess t = 2 t* (or t*/2 when the region
+    is |t| < |t*|) and doubles (or halves) c until every condition holds
+    exactly: the float t* can round onto or past the boundary.
+    """
+    one = Fraction(1)
+    tstar = cut.evaluate(one, one)
     t = tstar * 2 if bigger else tstar / 2
     c = Fraction(t / float(mu)).limit_denominator(10**6)
-    assert (c > 0) == (s_c > 0)
-    return (kappa, kappa_tilde, c)
+    for _ in range(200):
+        point = (one, one, c)
+        if all(cond.holds(point) for cond in conj):
+            return point
+        c = c * 2 if bigger else c / 2
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -614,8 +535,6 @@ def region_acr_reduction(net: ReactionNetwork) -> Region:
     monomials p, q, and the other ODE reducing to an alternating trinomial
     at the fixed coordinate.
     """
-    from .massaction import ode_rhs
-
     if net.num_species != 2:
         raise UnsupportedFamilyError("ACR reduction requires two species")
     odes = ode_rhs(net)
@@ -705,18 +624,9 @@ def regions_for_network(net: ReactionNetwork) -> tuple[Region, Region]:
     Full-dimensional networks have identical regions up to kind; networks
     with a conservation law get the case-analytic enabling description.
     """
-    from .network import is_full_dimensional
-
     if net.num_species == 1:
         allowing = region_one_species_net_trinomial(net)
-        enabling = Region(
-            "enabling",
-            allowing.ambient,
-            allowing.conjuncts,
-            allowing.case_tag,
-            allowing.witnesses,
-        )
-        return enabling, allowing
+        return replace(allowing, kind="enabling"), allowing
     if net.num_species == 2:
         if net.num_reactions == 2:
             return region_two_species_two_reactions(net)
@@ -725,14 +635,7 @@ def regions_for_network(net: ReactionNetwork) -> tuple[Region, Region]:
             raise UnsupportedFamilyError(
                 "ACR-shaped network with a conservation law is not covered"
             )
-        enabling = Region(
-            "enabling",
-            allowing.ambient,
-            allowing.conjuncts,
-            allowing.case_tag,
-            allowing.witnesses,
-        )
-        return enabling, allowing
+        return replace(allowing, kind="enabling"), allowing
     raise UnsupportedFamilyError(
         f"{net.num_species}-species networks are not covered"
     )
@@ -743,43 +646,35 @@ def regions_for_network(net: ReactionNetwork) -> tuple[Region, Region]:
 
 
 def project_to_allowing(region: Region) -> Region:
-    """Project an enabling region of a covered family onto rate space."""
+    """Project an enabling region onto its rate symbols.
+
+    Drops the total-constant symbols and every condition that mentions one.
+    This is the exact projection under the hypothesis that, in each
+    conjunct, the conditions on the totals c are solvable for c at every
+    rate point that satisfies the remaining conditions.  It holds for every
+    enabling region built here: in the nondegenerate case the conditions on
+    c are a sign and a monomial inequality in the signed c; in degenerate
+    cases 3 and 4 they are c > 0 and c^e equal to a positive rational
+    function of the rates; in cases 1 and 2 they are c = 0 or absent.  A
+    region without totals is only relabelled; an allowing region is
+    returned as is.
+    """
     if region.kind == "allowing":
         return region
-    c_indices = [i for i, s in enumerate(region.ambient) if s.startswith("c")]
-    if not c_indices:
-        return Region(
-            "allowing", region.ambient, region.conjuncts, region.case_tag, region.witnesses
-        )
-    tag = region.case_tag
-    amb = tuple(s for i, s in enumerate(region.ambient) if i not in c_indices)
-
-    def drop_c(poly: SymPoly) -> SymPoly:
-        return SymPoly(
-            len(amb),
-            {
-                tuple(x for i, x in enumerate(e) if i not in c_indices): c
-                for e, c in poly.terms.items()
-            },
-        )
-
-    if "nondeg" in tag or "zigzag" in tag or "case 3" in tag or "case_3" in tag or "case_4" in tag:
-        if region.is_empty:
-            return Region("allowing", amb, (), tag)
-        return Region("allowing", amb, ((),), tag)
-    if "case_1" in tag or "case_2" in tag or "case 1" in tag or "case 2" in tag:
-        conjuncts = []
-        for conj in region.conjuncts:
-            kept = tuple(
-                SignCondition(drop_c(c_.poly), c_.rel)
-                for c_ in conj
-                if all(e[i] == 0 for e in c_.poly.terms for i in c_indices)
+    if not region.totals:
+        return replace(region, kind="allowing")
+    n = len(region.ambient) - region.totals
+    conjuncts = tuple(
+        tuple(
+            SignCondition(
+                SymPoly(n, {e[:n]: c for e, c in cond.poly.terms.items()}), cond.rel
             )
-            conjuncts.append(kept)
-        return Region("allowing", amb, tuple(conjuncts), tag)
-    if region.is_empty:
-        return Region("allowing", amb, (), tag)
-    raise UnsupportedFamilyError(f"no case-analytic projection for tag {tag!r}")
+            for cond in conj
+            if not any(any(e[n:]) for e in cond.poly.terms)
+        )
+        for conj in region.conjuncts
+    )
+    return Region("allowing", region.ambient[:n], conjuncts, region.case_tag)
 
 
 @dataclass(frozen=True)
@@ -806,14 +701,13 @@ def connectivity_verdict(region: Region) -> ConnectivityVerdict:
         conj = region.conjuncts[0]
         if len(conj) == 0:
             return ConnectivityVerdict("Connected", "FullPositiveOrthant")
-        strict = [c for c in conj if c.rel != "=0"]
         if len(conj) == 1 and _one_negative_coefficient(conj[0]):
             return ConnectivityVerdict("Connected", "FeliuTelek_one_negative")
         if tag.startswith("two_species"):
             return ConnectivityVerdict(
                 "Connected", "PaperTheorem(two_species_two_reactions)"
             )
-        if tag == "one_species_three_reactions" or tag == "one_species_net_trinomial":
+        if tag == "one_species_net_trinomial":
             return ConnectivityVerdict(
                 "Connected", "PaperTheorem(one_species_up_to_three_reactions)"
             )
@@ -847,6 +741,63 @@ def _disjoint_sign_conjuncts(region: Region) -> bool:
             if not opposed:
                 return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# Self-check against the root-counting oracle
+
+
+def oracle_sweep(
+    net: ReactionNetwork, enabling: Region, seed: int, samples: int
+) -> list[tuple[Fraction, ...]]:
+    """Sampled points where enabling-region membership disagrees with the oracle.
+
+    Draws samples points away from the region's boundary.  Each coordinate
+    has a log-uniform magnitude in [2^-6, 2^6], rounded to a denominator of
+    at most 10^9, and totals take either sign.  A point is redrawn when some
+    condition is within a relative 1e-6 of 0.  A point disagrees when it is
+    inside the region and the oracle counts fewer than two positive steady
+    states there, or the reverse.
+    """
+    sys_ = steady_state_system(net)
+    rng = random.Random(seed)
+    n = len(enabling.ambient) - enabling.totals
+    bad = []
+    done = 0
+    while done < samples:
+        pt = []
+        for i in range(len(enabling.ambient)):
+            mag = Fraction(math.exp(rng.uniform(-6 * math.log(2), 6 * math.log(2))))
+            if i >= n and rng.random() < 0.5:
+                mag = -mag
+            pt.append(mag.limit_denominator(10**9))
+        if _near_boundary(enabling, pt):
+            continue
+        done += 1
+        inside = membership(enabling, pt)
+        result = count_positive_steady_states(sys_, tuple(pt[:n]), tuple(pt[n:]))
+        if inside != (result.count >= 2):
+            bad.append(tuple(pt))
+    return bad
+
+
+def _near_boundary(region: Region, pt, rel: float = 1e-6) -> bool:
+    """Whether some condition's value is within rel of 0, relative to the sum
+    of its terms' magnitudes (exact values, each term computed once)."""
+    for conj in region.conjuncts:
+        for cond in conj:
+            terms = []
+            for exps, c in cond.poly.terms.items():
+                t = Fraction(c)
+                for base, e in zip(pt, exps):
+                    if e:
+                        t *= base**e
+                terms.append(t)
+            val = sum(terms)
+            scale = sum(abs(t) for t in terms)
+            if scale != 0 and abs(val) < rel * scale:
+                return True
+    return False
 
 
 # ---------------------------------------------------------------------------

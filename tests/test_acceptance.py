@@ -24,6 +24,7 @@ from crnregions.regions import (
     connectivity_verdict,
     membership,
     one_species_coefficient_forms,
+    oracle_sweep,
     region_to_json,
     regions_for_network,
 )
@@ -170,53 +171,12 @@ def test_criterion_2_table_reproduction():
             assert rendered == (GOLDEN / f"{name}.json").read_text(), name
 
 
-def _mono_value(pt, exps) -> Fraction:
-    v = Fraction(1)
-    for base, e in zip(pt, exps):
-        if e:
-            v *= Fraction(base) ** e
-    return v
-
-
-def _near_boundary(region, pt, rel=Fraction(1, 10**6)) -> bool:
-    for conj in region.conjuncts:
-        for cond in conj:
-            val = cond.poly.evaluate(pt)
-            scale = sum(
-                abs(Fraction(c)) * abs(_mono_value(pt, e))
-                for c, e in cond.poly.sorted_terms()
-            )
-            if scale != 0 and abs(val) < rel * scale:
-                return True
-    return False
-
-
 def test_criterion_3_region_oracle_sweep():
     with Budget(3, "1000-point region/oracle sweep per network, 0 disagreements", 30.0):
-        span = 6 * math.log(2)
         for name in TABLE_NETS + ("prop51",):
             net = load(NETS / f"{name}.crn")
             enabling, _ = regions_for_network(net)
-            sys_ = steady_state_system(net)
-            rng = random.Random(42)
-            done = 0
-            while done < 1000:
-                pt = []
-                for sym in enabling.ambient:
-                    mag = Fraction(
-                        math.exp(rng.uniform(-span, span))
-                    ).limit_denominator(10**9)
-                    if sym.startswith("c") and rng.random() < 0.5:
-                        mag = -mag
-                    pt.append(mag)
-                if _near_boundary(enabling, pt):
-                    continue
-                done += 1
-                kappa = tuple(pt[: net.num_reactions])
-                c = tuple(pt[net.num_reactions :])
-                inside = membership(enabling, pt)
-                result = count_positive_steady_states(sys_, kappa, c)
-                assert inside == (result.count >= 2), (name, pt, result)
+            assert oracle_sweep(net, enabling, 42, 1000) == [], name
 
 
 def test_criterion_4_trichotomy_vs_sturm():

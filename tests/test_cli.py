@@ -1,8 +1,13 @@
+import io
 import json
+import tracemalloc
+from contextlib import redirect_stderr
 from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from crnregions.cli import main
 
@@ -37,6 +42,28 @@ class TestParseCommand:
     def test_missing_file_exit_2(self, runner):
         result = runner.invoke(main, ["parse", "/nonexistent.crn"])
         assert result.exit_code == 2
+
+    def test_error_path_keeps_no_stream_alive(self):
+        # each call writes its error to a fresh redirected stderr
+        def parse_missing():
+            with redirect_stderr(io.StringIO()):
+                try:
+                    main.main(["parse", "/nonexistent.crn"], prog_name="crnregions")
+                except SystemExit as exc:
+                    assert exc.code == 2
+
+        for _ in range(50):
+            parse_missing()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(1000):
+                parse_missing()
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        # a stream kept alive per call grows by about 470 bytes each
+        assert grown < 64 * 1024
 
     def test_malformed_file_exit_2(self, runner, tmp_path):
         bad = tmp_path / "bad.crn"
@@ -87,6 +114,41 @@ class TestAnalyzeCommand:
         three.write_text("A + B -> C; k1\nC -> A + B; k2\n")
         result = runner.invoke(main, ["analyze", str(three)])
         assert result.exit_code == 3
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "0 -> A; cat\nA -> 0; k2\n2A -> 3A; k3",
+            "2A + B -> 3A; cA\nA -> B; cB",
+        ],
+    )
+    def test_c_labelled_rates(self, runner, tmp_path, text):
+        net = tmp_path / "net.crn"
+        net.write_text(text)
+        doc = run_json(runner, "analyze", str(net))
+        assert doc["self_check"]["disagreements"] == 0
+
+    @given(
+        labels=st.lists(
+            st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,5}", fullmatch=True),
+            min_size=3,
+            max_size=3,
+            unique=True,
+        )
+    )
+    @settings(
+        max_examples=25,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_any_rate_labels(self, runner, tmp_path, labels):
+        net = tmp_path / "net.crn"
+        net.write_text(
+            "0 -> A; {}\nA -> 0; {}\n2A -> 3A; {}\n".format(*labels)
+        )
+        result = runner.invoke(main, ["analyze", str(net), "--samples", "20"])
+        assert result.exit_code == 0, result.output + repr(result.exception)
+        assert json.loads(result.output)["self_check"]["disagreements"] == 0
 
     def test_text_format(self, runner):
         result = runner.invoke(

@@ -1,12 +1,15 @@
 import io
+import random
 
 import pytest
 
 from crnregions.connectivity import (
     ProbeConfig,
+    _sample_point,
     connect_witnesses,
     probe,
 )
+from crnregions.network import parse_network
 from crnregions.regions import membership_float, regions_for_network
 
 
@@ -55,6 +58,26 @@ class TestProbe:
         _, allowing = regions_for_network(net)
         report = probe(allowing, ProbeConfig(n_samples=50))
         assert report.component_count == 0 and report.accepted_samples == 0
+
+    def test_c_labelled_rates_stay_positive(self):
+        # only the region's trailing totals are signed, whatever the labels
+        net = parse_network("2A + B -> 3A; cA\nA -> B; cB")
+        enabling, _ = regions_for_network(net)
+        rng = random.Random(1)
+        points = [_sample_point(rng, enabling, 0.0625, 16.0) for _ in range(200)]
+        assert all(p[0] > 0 and p[1] > 0 for p in points)
+        assert min(p[2] for p in points) < 0 < max(p[2] for p in points)
+        report = probe(enabling, ProbeConfig(n_samples=500, box=(0.0625, 16.0)))
+        assert report.accepted_samples > 0
+        for rep in report.component_representatives:
+            assert rep[0] > 0 and rep[1] > 0
+
+    def test_c_labelled_one_species_rates_stay_positive(self):
+        net = parse_network("0 -> A; cat\nA -> 0; k2\n2A -> 3A; k3")
+        _, allowing = regions_for_network(net)
+        report = probe(allowing, ProbeConfig(n_samples=500, box=(0.0625, 16.0)))
+        assert report.accepted_samples > 0
+        assert all(v > 0 for rep in report.component_representatives for v in rep)
 
     def test_report_json_and_csv(self, ex53_net):
         _, allowing = regions_for_network(ex53_net)

@@ -18,11 +18,16 @@ from crnregions.regions import (
     project_to_allowing,
     region_acr_reduction,
     region_one_species_net_trinomial,
-    region_one_species_three_reactions,
     region_to_json,
     region_two_species_two_reactions,
     regions_for_network,
 )
+
+
+# the one-species net with a rate label that starts with "c", and the
+# running example with its rates relabelled cA, cB
+CAT_NET = "0 -> A; cat\nA -> 0; k2\n2A -> 3A; k3"
+RUNNING_C_LABELS = "2A + B -> 3A; cA\nA -> B; cB"
 
 
 def single_condition(region):
@@ -50,7 +55,7 @@ class TestSymPoly:
 class TestOneSpeciesRegions:
     def test_joshi_n2(self):
         net = parse_network("0 -> A; k1\nA -> 0; k2\n2A -> 3A; k3")
-        region = region_one_species_three_reactions(net)
+        _, region = regions_for_network(net)
         cond = single_condition(region)
         # 4 k1 k3 - k2^2 < 0
         assert cond.rel == "<0"
@@ -58,19 +63,19 @@ class TestOneSpeciesRegions:
 
     def test_joshi_n3_l2(self):
         net = parse_network("0 -> A; k1\nA -> 0; k2\n3A -> 5A; k3")
-        region = region_one_species_three_reactions(net)
+        _, region = regions_for_network(net)
         cond = single_condition(region)
         # 27 k1^2 (2 k3) - 2^2 * 1 * k2^3 < 0, normalized by content 2
         assert cond.poly.terms == {(2, 0, 1): 27, (0, 3, 0): -2}
 
     def test_pattern_b_example(self, ex53_net):
-        region = region_one_species_three_reactions(ex53_net)
+        _, region = regions_for_network(ex53_net)
         cond = single_condition(region)
         # 27 k1^2 k3 - 4 k2^3 < 0
         assert cond.poly.terms == {(2, 0, 1): 27, (0, 3, 0): -4}
 
     def test_witness_inside_region(self, ex53_net):
-        region = region_one_species_three_reactions(ex53_net)
+        _, region = regions_for_network(ex53_net)
         (witness,) = region.witnesses
         assert witness is not None and membership(region, witness)
         sys = steady_state_system(ex53_net)
@@ -92,12 +97,6 @@ class TestOneSpeciesRegions:
             assert witness is not None
             assert all(cond.holds(witness) for cond in conj)
 
-    def test_net_trinomial_agrees_with_three_reaction_form(self, ex53_net):
-        a = region_one_species_three_reactions(ex53_net)
-        b = region_one_species_net_trinomial(ex53_net)
-        assert len(b.conjuncts) == 1
-        assert set(b.conjuncts[0]) >= set(a.conjuncts[0])
-
     def test_binomial_ode_gives_empty_region(self):
         net = parse_network("0 -> A; k1\nA -> 0; k2")
         region = region_one_species_net_trinomial(net)
@@ -105,7 +104,7 @@ class TestOneSpeciesRegions:
 
     def test_non_multistationary_three_reactions_empty(self):
         net = parse_network("0 -> A; k1\nA -> 2A; k2\n2A -> 3A; k3")
-        region = region_one_species_three_reactions(net)
+        _, region = regions_for_network(net)
         assert region.is_empty
 
 
@@ -167,6 +166,23 @@ class TestTwoSpeciesRegions:
             assert not membership(enabling, (*kap, c_on + 1))
             assert count_positive_steady_states(sys, kap, (c_on + 1,)).count <= 1
 
+    # the float tangency guess put these witnesses on or past the boundary
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "A + 2B -> 3A + 3B; k1\n3A + B -> A; k2",
+            "2A + 3B <- 2B; k1\n2A + B -> 0; k2",
+            "3A + 3B <- 2B; k1\n3A + B -> 0; k2",
+        ],
+    )
+    def test_nondegenerate_witness_is_inside(self, text):
+        net = parse_network(text)
+        enabling, _ = region_two_species_two_reactions(net)
+        (w,) = enabling.witnesses
+        assert membership(enabling, w)
+        res = count_positive_steady_states(steady_state_system(net), w[:2], w[2:])
+        assert res.count >= 2
+
     def test_not_multistationary_gives_empty_pair(self):
         net = parse_network("A -> B; k1\nA -> 2A + B; k2")
         enabling, allowing = region_two_species_two_reactions(net)
@@ -219,6 +235,17 @@ class TestDispatchAndProjection:
     def test_projection_of_allowing_is_identity(self, acr_net):
         _, allowing = regions_for_network(acr_net)
         assert project_to_allowing(allowing) is allowing
+
+    def test_totals_are_region_data(self, running_net, ex53_net):
+        enabling, allowing = regions_for_network(running_net)
+        assert (enabling.totals, allowing.totals) == (1, 0)
+        assert all(r.totals == 0 for r in regions_for_network(ex53_net))
+
+    @pytest.mark.parametrize("text", [CAT_NET, RUNNING_C_LABELS])
+    def test_projection_ignores_label_names(self, text):
+        enabling, allowing = regions_for_network(parse_network(text))
+        assert project_to_allowing(enabling) == allowing
+        assert allowing.ambient == parse_network(text).rate_labels
 
 
 class TestConnectivity:

@@ -7,6 +7,16 @@ then merged when a direct or one-waypoint path between representatives
 passes the same segment test, so the count reflects geometry rather than
 sampling density.  It is numerical evidence, not a proof.
 
+Candidate links come from a cell list (Bentley, Stanat and Williams 1977,
+fixed-radius near neighbours): hits are hashed into cells about one link
+radius wide on their first two sampling coordinates, and each hit is tested
+against the hits of its own and the adjacent cells only, in increasing
+index order.  Pairs farther apart never link, so the report, edge count
+included, is the one the test over all pairs gives; for a given seed the
+output does not depend on how candidates are found.  The merge pass still
+tries every pair of component representatives, since the path search draws
+from the seeded generator.
+
 Rate coordinates are strictly positive and are sampled log-uniformly;
 segments and distances for them live in log coordinates, which respects
 the monomial structure of the regions.  Total-constant coordinates (the
@@ -16,7 +26,9 @@ sampled uniformly over [-hi, hi] and treated linearly.
 
 from __future__ import annotations
 
+import bisect
 import csv
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -42,6 +54,10 @@ class ProbeConfig:
             raise ValueError("n_samples must be at least 2")
         if self.segment_checks < 1:
             raise ValueError("segment_checks must be at least 1")
+        if not self.link_radius > 0:
+            raise ValueError("link_radius must be positive")
+        if self.merge_restarts < 0:
+            raise ValueError("merge_restarts must be at least 0")
 
 
 @dataclass(frozen=True)
@@ -134,9 +150,54 @@ def _segment_inside(region: Region, p, q, checks: int) -> bool:
         if not live:
             return False
         t = j / (checks + 1)
-        mid = tuple(a + t * (b - a) for a, b in zip(cp, cq))
-        live &= _conjunct_indices(region, _from_coords(region, mid))
+        mid = _from_coords(region, tuple(a + t * (b - a) for a, b in zip(cp, cq)))
+        live = {
+            i
+            for i in live
+            if all(cond.holds_float(mid) for cond in region.conjuncts[i])
+        }
     return bool(live)
+
+
+def _cell_neighbours(coords: list[tuple[float, ...]], radius: float) -> list[list[int]]:
+    """For each point, the sorted indices of the points in its 3^k nearby cells.
+
+    Cells are hashed on the first k = min(2, d) coordinates.  Their side is
+    the radius widened by 1e-9 and by 1e-15 of the largest |x| / radius,
+    which exceeds the rounding of the distance test and of x / side: two
+    points that pass the test are never two cells apart on an axis, so the
+    lists hold every pair within the radius.
+    """
+    k = min(2, len(coords[0]))
+    reach = max((abs(x) for c in coords for x in c[:k]), default=0.0) / radius
+    side = radius * (1 + 1e-9 + 1e-15 * reach)
+    keys = [tuple(math.floor(x / side) for x in c[:k]) for c in coords]
+    cells: dict[tuple[int, ...], list[int]] = {}
+    for idx, key in enumerate(keys):
+        cells.setdefault(key, []).append(idx)
+    offsets = list(itertools.product((-1, 0, 1), repeat=k))
+    near: dict[tuple[int, ...], list[int]] = {}
+    for key in cells:
+        near[key] = sorted(
+            j
+            for off in offsets
+            for j in cells.get(tuple(a + b for a, b in zip(key, off)), ())
+        )
+    return [near[key] for key in keys]
+
+
+def _squared_distances(
+    ci: tuple[float, ...], others: list[tuple[float, ...]]
+) -> list[float]:
+    """sum((a - b) ** 2 for a, b in zip(ci, cj)) for each cj in others.
+
+    With two coordinates the sum is spelled out, several times faster:
+    0 + t0 + t1 rounds to the same float as sum(), compensated or not.
+    """
+    if len(ci) == 2:
+        x, y = ci
+        return [(x - a) ** 2 + (y - b) ** 2 for a, b in others]
+    return [sum([(a - b) ** 2 for a, b in zip(ci, cj)]) for cj in others]
 
 
 def probe(region: Region, config: ProbeConfig = ProbeConfig()) -> ProbeReport:
@@ -154,29 +215,42 @@ def probe(region: Region, config: ProbeConfig = ProbeConfig()) -> ProbeReport:
     coords = [_coords(region, h) for h in hits]
     r2 = config.link_radius**2
     edges = 0
-    for i in range(len(hits)):
-        ci = coords[i]
-        for j in range(i + 1, len(hits)):
-            if sum((a - b) ** 2 for a, b in zip(ci, coords[j])) > r2:
+    # pairs in (i, j) order, as over all pairs: edge_count depends on it.
+    # ri is i's root, kept current across the unions i takes part in.
+    for i, near in enumerate(_cell_neighbours(coords, config.link_radius)):
+        later = near[bisect.bisect_right(near, i):]
+        d2s = _squared_distances(coords[i], [coords[j] for j in later])
+        ri = uf.find(i)
+        for j, d2 in zip(later, d2s):
+            if d2 > r2:
                 continue
-            if uf.find(i) == uf.find(j):
+            rj = uf.find(j)
+            if ri == rj:
                 edges += 1
                 continue
             if _segment_inside(region, hits[i], hits[j], config.segment_checks):
                 uf.union(i, j)
+                ri = rj
                 edges += 1
     # merge pass: sparse sampling can shatter a connected region into many
     # graph components; join representatives reachable by a checked path.
-    # Hits in disjoint conjuncts can never share a checked segment, so
-    # those pairs are skipped outright.
+    # Every pair of representatives is tried, near or not, so that the
+    # rng draws of the path search stay the same.  Hits in disjoint
+    # conjuncts can never share a checked segment, so those pairs are
+    # skipped outright.  label names each representative's component.
     reps = _component_reps(uf, len(hits))
     conj_of = {a: _conjunct_indices(region, hits[a]) for a in reps}
+    label = {a: a for a in reps}
     for a in reps:
         for b in reps:
-            if uf.find(a) == uf.find(b) or not (conj_of[a] & conj_of[b]):
+            if label[a] == label[b] or not (conj_of[a] & conj_of[b]):
                 continue
             if _pathable(region, hits[a], hits[b], rng, config):
                 uf.union(a, b)
+                old, new = label[a], label[b]
+                for c in reps:
+                    if label[c] == old:
+                        label[c] = new
     comp: dict[int, list[int]] = {}
     for i in range(len(hits)):
         comp.setdefault(uf.find(i), []).append(i)
@@ -199,19 +273,38 @@ def _component_reps(uf: _UnionFind, n: int) -> list[int]:
     return list(seen.values())
 
 
-def _pathable(region: Region, p, q, rng: random.Random, config: ProbeConfig) -> bool:
-    if _segment_inside(region, p, q, config.segment_checks):
-        return True
-    lo, hi = config.box
-    for _ in range(config.merge_restarts):
+def _find_path(
+    region: Region,
+    p,
+    q,
+    rng: random.Random,
+    restarts: int,
+    checks: int,
+    box: tuple[float, float],
+) -> list[tuple[float, ...]] | None:
+    """The direct segment, else the first of up to `restarts` one-waypoint
+    paths through sampled points in the box; None when none stays inside."""
+    if _segment_inside(region, p, q, checks):
+        return [p, q]
+    lo, hi = box
+    for _ in range(restarts):
         w = _sample_point(rng, region, lo, hi)
         if not membership_float(region, w):
             continue
-        if _segment_inside(region, p, w, config.segment_checks) and _segment_inside(
-            region, w, q, config.segment_checks
+        if _segment_inside(region, p, w, checks) and _segment_inside(
+            region, w, q, checks
         ):
-            return True
-    return False
+            return [p, w, q]
+    return None
+
+
+def _pathable(region: Region, p, q, rng: random.Random, config: ProbeConfig) -> bool:
+    return (
+        _find_path(
+            region, p, q, rng, config.merge_restarts, config.segment_checks, config.box
+        )
+        is not None
+    )
 
 
 def connect_witnesses(
@@ -235,16 +328,4 @@ def connect_witnesses(
         raise ValueError("endpoints must lie inside the region")
     if p == q:
         return [p]
-    if _segment_inside(region, p, q, segment_checks):
-        return [p, q]
-    rng = random.Random(seed)
-    lo, hi = box
-    for _ in range(restarts):
-        w = _sample_point(rng, region, lo, hi)
-        if not membership_float(region, w):
-            continue
-        if _segment_inside(region, p, w, segment_checks) and _segment_inside(
-            region, w, q, segment_checks
-        ):
-            return [p, w, q]
-    return None
+    return _find_path(region, p, q, random.Random(seed), restarts, segment_checks, box)

@@ -33,11 +33,12 @@ Term = tuple[int, tuple[int, ...]]
 class SymPoly:
     """Sparse polynomial with integer coefficients over a fixed symbol list."""
 
-    __slots__ = ("nsym", "terms")
+    __slots__ = ("nsym", "terms", "_float_terms")
 
     def __init__(self, nsym: int, terms: dict[tuple[int, ...], int] | None = None):
         self.nsym = nsym
         self.terms = {e: c for e, c in (terms or {}).items() if c != 0}
+        self._float_terms: list[tuple[float, list[tuple[int, int]]]] | None = None
 
     @classmethod
     def const(cls, nsym: int, c: int) -> "SymPoly":
@@ -120,12 +121,18 @@ class SymPoly:
         return total
 
     def evaluate_float(self, point: Sequence[float]) -> float:
+        # (coefficient, nonzero exponents) per term, compiled on first use;
+        # the products and sums run in the same order as over self.terms
+        terms = self._float_terms
+        if terms is None:
+            terms = self._float_terms = [
+                (float(c), [(i, x) for i, x in enumerate(e) if x])
+                for e, c in self.terms.items()
+            ]
         total = 0.0
-        for e, c in self.terms.items():
-            v = float(c)
-            for base, exp in zip(point, e):
-                if exp:
-                    v *= base**exp
+        for v, exps in terms:
+            for i, x in exps:
+                v *= point[i] ** x
             total += v
         return total
 

@@ -258,6 +258,16 @@ def test_criterion_6_connectivity_verdicts():
         )
         assert report.component_count == 1, report
 
+        # the default probe referees every analytic verdict on a nonempty region
+        expected = {"Connected": 1, "Disconnected": 2}
+        for path in sorted(NETS.glob("*.crn")):
+            _, allowing = regions_for_network(load(path))
+            if allowing.is_empty:
+                continue
+            verdict = connectivity_verdict(allowing).value
+            report = probe(allowing, ProbeConfig())
+            assert report.component_count == expected[verdict], (path.stem, report)
+
 
 def _one_species_net(pairs):
     rxns = tuple(

@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -46,6 +47,33 @@ class TestSymPoly:
     def test_evaluate_exact(self):
         p = SymPoly(2, {(2, 0): 1, (0, 1): -4})
         assert p.evaluate((Fraction(3), Fraction(2))) == 1
+
+    def test_evaluate_float_matches_term_loop(self):
+        # the compiled terms multiply and add in the order of this loop
+        def term_loop(poly, point):
+            total = 0.0
+            for e, c in poly.terms.items():
+                v = float(c)
+                for base, exp in zip(point, e):
+                    if exp:
+                        v *= base**exp
+                total += v
+            return total
+
+        rng = random.Random(5)
+        for _ in range(200):
+            nsym = rng.randint(1, 4)
+            poly = SymPoly(
+                nsym,
+                {
+                    tuple(rng.randint(0, 3) for _ in range(nsym)): rng.randint(-9, 9)
+                    for _ in range(rng.randint(1, 6))
+                },
+            )
+            for _ in range(5):
+                point = tuple(rng.uniform(-50.0, 50.0) for _ in range(nsym))
+                got = poly.evaluate_float(point).hex()
+                assert got == term_loop(poly, point).hex(), (poly, point)
 
     def test_condition_rejects_zero_poly(self):
         with pytest.raises(ValueError):

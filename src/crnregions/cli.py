@@ -93,7 +93,7 @@ def _parse_box(value: str) -> tuple[float, float]:
     try:
         lo, hi = value.split(":")
         return float(Fraction(lo)), float(Fraction(hi))
-    except (ValueError, ZeroDivisionError):
+    except (ValueError, ZeroDivisionError, OverflowError):
         raise click.BadParameter("expected lo:hi with 0 < lo < hi")
 
 
@@ -187,7 +187,10 @@ def cmd_analyze(file: str, fmt: str, seed: int, samples: int, no_verify: bool) -
         "seed": seed,
     }
     if not no_verify:
-        bad = len(oracle_sweep(net, enabling, seed, samples))
+        try:
+            bad = len(oracle_sweep(net, enabling, seed, samples))
+        except UnsupportedFamilyError as exc:
+            _fail(f"unsupported family: {exc}", EXIT_UNSUPPORTED)
         payload["self_check"] = {"samples": samples, "disagreements": bad}
         if bad:
             _emit(payload, fmt, _analyze_text)
@@ -299,7 +302,12 @@ def cmd_witness(file, fmt, kappa, c_value, seed) -> None:
         cs = stored[net.num_reactions:]
     if len(kap) != net.num_reactions or len(cs) != n_c:
         _fail("parameter dimensions do not match the network", EXIT_PARSE)
-    result = count_positive_steady_states(sys_, kap, cs)
+    if any(v <= 0 for v in kap):
+        _fail("rate constants must be positive", EXIT_PARSE)
+    try:
+        result = count_positive_steady_states(sys_, kap, cs)
+    except UnsupportedFamilyError as exc:
+        _fail(f"unsupported family: {exc}", EXIT_UNSUPPORTED)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "kappa": [str(v) for v in kap],
@@ -341,7 +349,10 @@ def cmd_probe(file, fmt, kind, seed, samples, box, csv_path) -> None:
     enabling, allowing = _build_regions(net)
     region = allowing if kind == "allowing" else enabling
     verdict = connectivity_verdict(region)
-    cfg = ProbeConfig(seed=seed, n_samples=samples, box=_parse_box(box))
+    try:
+        cfg = ProbeConfig(seed=seed, n_samples=samples, box=_parse_box(box))
+    except ValueError as exc:
+        _fail(f"bad parameter: {exc}", EXIT_PARSE)
     report = probe(region, cfg)
     payload = {
         "schema_version": SCHEMA_VERSION,

@@ -7,11 +7,16 @@ to exact univariate root counting:
 * two species with a conservation law: substitute the compatibility-class
   line into one ODE and count on the segment where both coordinates are
   positive;
-* two species, full dimensional: eliminate x2 by a Sylvester resultant and
-  count matching positive partners for each positive x1 root.
+* two species, full dimensional: two reactions have independent reaction
+  vectors and no positive steady state.  Otherwise one ODE must pin a
+  coordinate, either one: it is a monomial times a polynomial in that
+  coordinate whose positive roots are all rational.  Each root is
+  substituted into the other ODE, whose positive roots are Sturm-counted.
+  Where no coordinate is pinned this way the oracle raises
+  UnsupportedFamilyError instead of approximating.
 
-Counts are without multiplicity.  Multiple roots and steady-state continua
-are reported through flags instead of being folded into the count.
+Counts are exact and without multiplicity.  Multiple roots and steady-state
+continua are reported through flags instead of being folded into the count.
 """
 
 from __future__ import annotations
@@ -21,19 +26,12 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable
 
-from .network import (
-    ConservationMatrix,
-    ReactionNetwork,
-    conservation_matrix,
-    matrix_rank,
-    rref,
-    stoichiometric_matrix,
-)
+from .classify import UnsupportedFamilyError
+from .network import ConservationMatrix, ReactionNetwork, conservation_matrix
 from .unipoly import (
     UniPoly,
     isolate_positive_roots,
     positive_roots,
-    refine_root,
     sturm_count_open_interval,
     sturm_count_positive,
 )
@@ -90,17 +88,6 @@ class ParamPoly:
                 out[mono] = out.get(mono, Fraction(0)) + ca * cb
         return ParamPoly(self.nx, self.nk, out)
 
-    def evaluate(self, x: tuple, kappa: tuple) -> Fraction:
-        total = Fraction(0)
-        for (xe, ke), c in self.terms.items():
-            v = c
-            for base, e in zip(x, xe):
-                v *= Fraction(base) ** e
-            for base, e in zip(kappa, ke):
-                v *= Fraction(base) ** e
-            total += v
-        return total
-
     def substitute_rates(self, kappa: tuple) -> dict[tuple[int, ...], Fraction]:
         """Collapse rate symbols at a numeric point; keys are x exponents."""
         out: dict[tuple[int, ...], Fraction] = {}
@@ -112,17 +99,6 @@ class ParamPoly:
             if v:
                 out[xe] = out.get(xe, Fraction(0)) + v
         return {xe: v for xe, v in out.items() if v != 0}
-
-    def partial_x(self, j: int) -> "ParamPoly":
-        out: dict[Monomial, Fraction] = {}
-        for (xe, ke), c in self.terms.items():
-            if xe[j] == 0:
-                continue
-            nxe = list(xe)
-            nxe[j] -= 1
-            mono = (tuple(nxe), ke)
-            out[mono] = out.get(mono, Fraction(0)) + c * xe[j]
-        return ParamPoly(self.nx, self.nk, out)
 
     def __eq__(self, other) -> bool:
         return (
@@ -170,11 +146,13 @@ class SteadyStateCount:
     """The oracle's answer.  The count is exact; the steady states behind
     ``witnesses`` are found on first access, because isolating and refining
     roots costs far more than counting them and most callers read only
-    ``count``."""
+    ``count``.  ``certified`` is always True: every branch counts exactly
+    or refuses."""
+
+    certified = True
 
     count: int
     find_witnesses: Callable[[], list[tuple[Fraction, ...]]] = field(repr=False, compare=False)
-    certified: bool
     boundary: bool = False  # a multiple positive root exists
     continuum: bool = False  # positive steady states form a continuum
 
@@ -218,13 +196,12 @@ def count_positive_steady_states(
         p = _univariate(sys.odes[0].substitute_rates(kappa), 0)
         if p.is_zero:
             return SteadyStateCount(
-                2, lambda: [(Fraction(1),), (Fraction(2),)], True, continuum=True
+                2, lambda: [(Fraction(1),), (Fraction(2),)], continuum=True
             )
         count = sturm_count_positive(p)
         return SteadyStateCount(
             int(count),
             lambda: [(r,) for r in positive_roots(p)],
-            True,
             boundary=count.multiple_positive,
         )
 
@@ -234,29 +211,26 @@ def count_positive_steady_states(
         raise ValueError("two conserved quantities with two species is impossible")
     if sys.cons.dim == 1:
         return _count_on_line(sys, subs, c[0])
-    return _count_full_dimensional(subs)
+    return _count_full_dimensional(net, subs)
 
 
 def _count_on_line(sys: SteadyStateSystem, subs, cval: Fraction) -> SteadyStateCount:
     w = sys.cons.rows[0]  # RREF: leading entry is 1
-    # pick an ODE that is not identically zero
+    # pick an ODE that is not identically zero, if there is one
     idx = 0 if subs[0] else 1
-    if not subs[idx]:
-        return SteadyStateCount(2, lambda: [], True, continuum=True)
     if w[1] != 0:
         # x2 = (c - w1*x1)/w2; both coordinates positive on an open x1-interval
         line = UniPoly([cval / w[1], -w[0] / w[1]])
         p = _compose_line(subs[idx], axis=0, line=line)
         lo, hi = _positive_segment(w, cval)
         if lo is None:
-            return SteadyStateCount(0, lambda: [], True)
+            return SteadyStateCount(0, list)
         if p.is_zero:
             mid = _segment_midpoint(lo, hi)
             mid2 = _segment_midpoint(mid, hi)
             return SteadyStateCount(
                 2,
                 lambda: [_line_point(line, mid), _line_point(line, mid2)],
-                True,
                 continuum=True,
             )
         count = sturm_count_open_interval(p, lo, hi)
@@ -267,22 +241,20 @@ def _count_on_line(sys: SteadyStateSystem, subs, cval: Fraction) -> SteadyStateC
                 for r in positive_roots(p)
                 if r > lo and (hi is None or r < hi)
             ],
-            True,
             boundary=count.multiple_positive,
         )
     # w = [1, 0]: class fixes x1 = c; reduce to a univariate in x2
     if cval <= 0:
-        return SteadyStateCount(0, lambda: [], True)
+        return SteadyStateCount(0, list)
     q = _substitute_axis(subs[idx], axis=0, value=cval)
     if q.is_zero:
         return SteadyStateCount(
-            2, lambda: [(cval, Fraction(1)), (cval, Fraction(2))], True, continuum=True
+            2, lambda: [(cval, Fraction(1)), (cval, Fraction(2))], continuum=True
         )
     count = sturm_count_positive(q)
     return SteadyStateCount(
         int(count),
         lambda: [(cval, r) for r in positive_roots(q)],
-        True,
         boundary=count.multiple_positive,
     )
 
@@ -337,178 +309,60 @@ def _substitute_axis(sub, axis: int, value: Fraction) -> UniPoly:
     return UniPoly(coeffs)
 
 
-def _as_poly_in_x2(sub) -> list[UniPoly]:
-    """Coefficients (in x2-degree order) as polynomials in x1."""
-    deg2 = max((xe[1] for xe in sub), default=0)
-    coeffs = [UniPoly.zero() for _ in range(deg2 + 1)]
-    for xe, c in sub.items():
-        coeffs[xe[1]] = coeffs[xe[1]] + UniPoly.monomial(c, xe[0])
-    while len(coeffs) > 1 and coeffs[-1].is_zero:
-        coeffs.pop()
-    return coeffs
-
-
-def _poly_resultant_x2(f: list[UniPoly], g: list[UniPoly]) -> UniPoly:
-    """Resultant of two polynomials in x2 with UniPoly(x1) coefficients (Bareiss)."""
-    m, n = len(f) - 1, len(g) - 1
-    if m == 0 and n == 0:
-        raise ValueError("both polynomials constant in x2")
-    if m == 0:
-        return f[0] ** n
-    if n == 0:
-        return g[0] ** m
-    size = m + n
-    rows: list[list[UniPoly]] = []
-    frev, grev = list(reversed(f)), list(reversed(g))
-    zero = UniPoly.zero()
-    for i in range(n):
-        rows.append([zero] * i + frev + [zero] * (size - m - 1 - i))
-    for i in range(m):
-        rows.append([zero] * i + grev + [zero] * (size - n - 1 - i))
-    # Bareiss fraction-free elimination over Q[x1]
-    prev = UniPoly([1])
-    sign = 1
-    for k in range(size - 1):
-        if rows[k][k].is_zero:
-            piv = next((r for r in range(k + 1, size) if not rows[r][k].is_zero), None)
-            if piv is None:
-                return UniPoly.zero()
-            rows[k], rows[piv] = rows[piv], rows[k]
-            sign = -sign
-        for i in range(k + 1, size):
-            for j in range(k + 1, size):
-                num = rows[i][j] * rows[k][k] - rows[i][k] * rows[k][j]
-                rows[i][j] = num // prev
-            rows[i][k] = zero
-        prev = rows[k][k]
-    det = rows[size - 1][size - 1]
-    return det if sign == 1 else -det
-
-
-def _count_full_dimensional(subs) -> SteadyStateCount:
-    f1, f2 = subs
-    if not f1 or not f2:
-        # one ODE identically zero: cannot happen for full-dimensional nets
-        return SteadyStateCount(0, lambda: [], False)
-    deg1 = max(xe[1] for xe in f1)
-    deg2 = max(xe[1] for xe in f2)
-    if deg1 == 0 and deg2 == 0:
-        # both ODEs univariate in x1: positive steady states need a common
-        # positive x1 root and any x2 > 0, which is a continuum if nonempty
-        p1, p2 = _univariate(f1, 0), _univariate(f2, 0)
-        g = p1.gcd(p2)
-        if g.degree() >= 1 and sturm_count_positive(g) > 0:
-
-            def states():
-                r = positive_roots(g)[0]
-                return [(r, Fraction(1)), (r, Fraction(2))]
-
-            return SteadyStateCount(2, states, True, continuum=True)
-        return SteadyStateCount(0, lambda: [], True)
-    if deg1 == 0 or deg2 == 0:
-        # one ODE univariate in x1 (absolute concentration robustness shape);
-        # its x1 roots are needed to count partners, so they are found here
-        uni, other = (f1, f2) if deg1 == 0 else (f2, f1)
-        p = _univariate(uni, 0)
+def _count_full_dimensional(net: ReactionNetwork, subs) -> SteadyStateCount:
+    if net.num_reactions == 2:
+        # linearly independent reaction vectors: f = N diag(kappa) x^Y with N
+        # invertible vanishes only where some monomial does, never at x > 0
+        return SteadyStateCount(0, list)
+    for axis in (0, 1):
+        other = 1 - axis
+        # an ODE x_other^s * p(x_axis) pins x_axis to the positive roots of p
+        pins = [j for j in (0, 1) if len({xe[other] for xe in subs[j]}) <= 1]
+        if len(pins) == 2:
+            # both ODEs pin x_axis: x_other is free at each common positive root
+            g = _univariate(subs[0], axis).gcd(_univariate(subs[1], axis))
+            if g.is_zero:
+                return _free_continuum(axis, lambda: Fraction(1))
+            if g.degree() >= 1 and sturm_count_positive(g) > 0:
+                return _free_continuum(axis, lambda: positive_roots(g)[0])
+            return SteadyStateCount(0, list)
+        if not pins or not subs[pins[0]]:
+            continue
+        roots = isolate_positive_roots(_univariate(subs[pins[0]], axis))
+        if any(a != b for a, b in roots):
+            continue  # an irrational pin: try the other coordinate
+        g = subs[1 - pins[0]]
         total = 0
-        partners: list[tuple[Fraction, UniPoly]] = []
         boundary = False
-        certified = True
-        for a, b in isolate_positive_roots(p):
-            if a == b:
-                q = _substitute_axis(other, axis=0, value=a)
-                if q.is_zero:
-                    return SteadyStateCount(
-                        2,
-                        lambda: [(a, Fraction(1)), (a, Fraction(2))],
-                        True,
-                        continuum=True,
-                    )
-                cnt = sturm_count_positive(q)
-                total += cnt
-                partners.append((a, q))
-                boundary = boundary or cnt.multiple_positive
-            else:
-                # irrational x1 root: count partners at a refined approximation
-                certified = False
-                approx = refine_root(p, a, b)
-                q = _substitute_axis(other, axis=0, value=approx)
-                if not q.is_zero:
-                    total += sturm_count_positive(q)
-        return SteadyStateCount(
-            total,
-            lambda: [(x1, r) for x1, q in partners for r in positive_roots(q)],
-            certified,
-            boundary=boundary,
-        )
-
-    fc = _as_poly_in_x2(f1)
-    gc = _as_poly_in_x2(f2)
-    res = _poly_resultant_x2(fc, gc)
-    if res.is_zero:
-        return SteadyStateCount(0, lambda: [], False)
-    boundary = sturm_count_positive(res).multiple_positive
-    total = 0
-    # per x1 root, in order: exact partners (found on first access) or the
-    # states the irrational path already had to find to count them
-    parts: list[Callable[[], list[tuple[Fraction, Fraction]]]] = []
-    certified = not boundary
-    for a, b in isolate_positive_roots(res):
-        if a == b:
-            g1 = _substitute_axis(f1, axis=0, value=a)
-            g2 = _substitute_axis(f2, axis=0, value=a)
-            if g1.is_zero and g2.is_zero:
-                return SteadyStateCount(2, lambda: [], False, continuum=True)
-            if g1.is_zero or g2.is_zero:
-                q = g2 if g1.is_zero else g1
-            else:
-                q = g1.gcd(g2)
-            if q.is_zero or q.degree() < 1:
-                continue
+        partners: list[tuple[Fraction, UniPoly]] = []
+        for a, _ in roots:
+            q = _substitute_axis(g, axis=axis, value=a)
+            if q.is_zero:
+                return _free_continuum(axis, lambda: a)
             cnt = sturm_count_positive(q)
             total += cnt
-            parts.append(lambda a=a, q=q: [(a, r) for r in positive_roots(q)])
-        else:
-            certified = False
-            approx = refine_root(res, a, b)
-            g1 = _substitute_axis(f1, axis=0, value=approx)
-            g2 = _substitute_axis(f2, axis=0, value=approx)
-            # near-common positive roots of g1 confirmed by a small g2 residual
-            found = []
-            for r in positive_roots(g1):
-                scale = sum(abs(v) * abs(r) ** xe[1] for xe, v in f2.items()) or Fraction(1)
-                if abs(g2(r)) / scale < Fraction(1, 10**6):
-                    total += 1
-                    found.append((approx, r))
-            parts.append(lambda found=found: found)
-    return SteadyStateCount(
-        total,
-        lambda: [w for part in parts for w in part()],
-        certified,
-        boundary=boundary,
+            partners.append((a, q))
+            boundary = boundary or cnt.multiple_positive
+        return SteadyStateCount(
+            total,
+            lambda: [_point(axis, a, r) for a, q in partners for r in positive_roots(q)],
+            boundary=boundary,
+        )
+    raise UnsupportedFamilyError(
+        "no ODE pins a coordinate to rational values; the oracle does not cover this network"
     )
 
 
-def jacobian_restricted_rank(
-    sys: SteadyStateSystem, kappa: tuple, xstar: tuple
-) -> int:
-    """Rank of the Jacobian of f restricted to the stoichiometric subspace."""
-    net = sys.network
-    n = net.num_species
-    kappa = tuple(Fraction(v) for v in kappa)
-    xstar = tuple(Fraction(v) for v in xstar)
-    if any(v <= 0 for v in xstar):
-        raise ValueError("steady state must be strictly positive")
-    J = [
-        [sys.odes[i].partial_x(j).evaluate(xstar, kappa) for j in range(n)]
-        for i in range(n)
-    ]
-    S = stoichiometric_matrix(net)
-    basis_rows = rref([[Fraction(S[j][i]) for j in range(n)] for i in range(net.num_reactions)])
-    if not basis_rows:
-        return 0
-    # columns of J * B^T for each basis vector b of S
-    prod = [
-        [sum(J[i][j] * b[j] for j in range(n)) for i in range(n)] for b in basis_rows
-    ]
-    return matrix_rank(prod)
+def _free_continuum(axis: int, pinned: Callable[[], Fraction]) -> SteadyStateCount:
+    """A continuum: x_axis at pinned(), the other coordinate free."""
+
+    def states():
+        r = pinned()
+        return [_point(axis, r, Fraction(1)), _point(axis, r, Fraction(2))]
+
+    return SteadyStateCount(2, states, continuum=True)
+
+
+def _point(axis: int, pinned: Fraction, free: Fraction) -> tuple[Fraction, Fraction]:
+    """(x1, x2) from the pinned coordinate x_axis and the other one."""
+    return (pinned, free) if axis == 0 else (free, pinned)

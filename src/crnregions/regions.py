@@ -413,7 +413,8 @@ def region_two_species_two_reactions(net: ReactionNetwork) -> tuple[Region, Regi
 
     The enabling region is w.r.t. the RREF conservation-law matrix; its
     ambient symbols are the two rate labels followed by the total constant
-    "c".  The allowing region is its projection.
+    "c", which a full-dimensional network (never multistationary) lacks.
+    The allowing region is its projection.
     """
     verdict = classify_two_species(net)
     tag = f"two_species_{verdict.matched_case.value}_{verdict.detail}".replace(" ", "_")
@@ -425,8 +426,10 @@ def region_two_species_two_reactions(net: ReactionNetwork) -> tuple[Region, Regi
         conjuncts, witnesses = (conj,), (witness,)
     else:
         conjuncts = (_degenerate_conditions(net, verdict.detail),)
+    (v1, v2), (w1, w2) = (rxn.vector() for rxn in net.reactions)
+    totals = 0 if v1 * w2 != v2 * w1 else 1  # full dimensional: no conservation law
     enabling = Region(
-        "enabling", net.rate_labels + ("c",), conjuncts, tag, witnesses, totals=1
+        "enabling", net.rate_labels + ("c",) * totals, conjuncts, tag, witnesses, totals
     )
     return enabling, project_to_allowing(enabling)
 
@@ -523,11 +526,17 @@ def _nondeg_enabling_witness(cut: CutoffFunction, mu, conj, bigger):
     tstar = cut.evaluate(one, one)
     t = tstar * 2 if bigger else tstar / 2
     c = Fraction(t / float(mu)).limit_denominator(10**6)
+    return _scale_into(conj, (one, one, c), 2, bigger)
+
+
+def _scale_into(conj, point, i: int, up: bool):
+    """point with coordinate i doubled (up) or halved until every condition
+    of conj holds exactly, or None after 200 steps."""
+    point = list(point)
     for _ in range(200):
-        point = (one, one, c)
         if all(cond.holds(point) for cond in conj):
-            return point
-        c = c * 2 if bigger else c / 2
+            return tuple(point)
+        point[i] = point[i] * 2 if up else point[i] / 2
     return None
 
 
@@ -621,7 +630,13 @@ def region_acr_reduction(net: ReactionNetwork) -> Region:
             r, {t1_e: int(t1_c * den), t2_e: -int(t2_c * den)}
         ).normalized()
         cond = SignCondition(poly, "<0")
-        return Region("allowing", net.rate_labels, ((cond,),), "acr_reduction")
+        # t1 < t2 holds once the rate where their exponents differ is
+        # scaled far enough towards the side of t2
+        i = next((i for i in range(r) if t1_e[i] != t2_e[i]), 0)
+        witness = _scale_into((cond,), (Fraction(1),) * r, i, t1_e[i] < t2_e[i])
+        return Region(
+            "allowing", net.rate_labels, ((cond,),), "acr_reduction", (witness,)
+        )
     raise UnsupportedFamilyError("network does not match the ACR reduction shape")
 
 

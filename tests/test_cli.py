@@ -9,9 +9,20 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from crnregions import cli, regions
+from crnregions.classify import UnsupportedFamilyError
 from crnregions.cli import main
 
 from conftest import ACR, EQ19, EX53, PROP51, RUNNING
+
+
+FULL_TWO_REACTIONS = "B -> A + B; k1\nA + B -> A + 2B; k2\n"
+# the bundled ACR net with 2B -> 3B first, so A is the second coordinate
+REORDERED_ACR = "2B -> 3B; k3\nA -> A + B; k1\nA + B -> A; k2\nA -> 2A; k5\n2A -> A; k6\n"
+
+
+def _refuse(*args):
+    raise UnsupportedFamilyError("refused")
 
 
 @pytest.fixture()
@@ -150,6 +161,26 @@ class TestAnalyzeCommand:
         assert result.exit_code == 0, result.output + repr(result.exception)
         assert json.loads(result.output)["self_check"]["disagreements"] == 0
 
+    def test_full_dimensional_two_reactions(self, runner, tmp_path):
+        # no conservation law, so the self-check passes no total constant
+        net = tmp_path / "net.crn"
+        net.write_text(FULL_TWO_REACTIONS)
+        doc = run_json(runner, "analyze", str(net))
+        assert doc["multistationary"] is False
+        assert doc["enabling_region"]["ambient"] == ["k1", "k2"]
+        assert doc["self_check"]["disagreements"] == 0
+
+    def test_reordered_acr_network(self, runner, tmp_path):
+        net = tmp_path / "net.crn"
+        net.write_text(REORDERED_ACR)
+        doc = run_json(runner, "analyze", str(net), "--samples", "200")
+        assert doc["self_check"]["disagreements"] == 0
+
+    def test_oracle_refusal_exit_3(self, runner, monkeypatch):
+        monkeypatch.setattr(regions, "count_positive_steady_states", _refuse)
+        result = runner.invoke(main, ["analyze", str(ACR), "--samples", "5"])
+        assert result.exit_code == 3 and "unsupported family" in result.output
+
     def test_text_format(self, runner):
         result = runner.invoke(
             main, ["analyze", str(EX53), "--format", "text", "--samples", "20"]
@@ -194,6 +225,38 @@ class TestWitnessCommand:
     def test_stored_witness(self, runner):
         doc = run_json(runner, "witness", str(EX53))
         assert doc["count"] == 2
+
+    def test_acr_stored_witness(self, runner):
+        doc = run_json(runner, "witness", str(ACR))
+        assert doc["count"] == 2 and doc["certified"] is True
+        assert [x for x, _ in doc["steady_states"]] == ["1", "1"]
+
+    def test_reordered_acr_pins_exactly(self, runner, tmp_path):
+        # species order (B, A); x_A = k5/k6 = 1 exactly
+        net = tmp_path / "net.crn"
+        net.write_text(REORDERED_ACR)
+        doc = run_json(runner, "witness", str(net), "--kappa", "1,1,5,1,1")
+        assert doc["count"] == 2 and doc["certified"] is True
+        assert [xa for _, xa in doc["steady_states"]] == ["1", "1"]
+
+    def test_full_dimensional_two_reactions(self, runner, tmp_path):
+        net = tmp_path / "net.crn"
+        net.write_text(FULL_TWO_REACTIONS)
+        doc = run_json(runner, "witness", str(net), "--kappa", "1,1")
+        assert doc["count"] == 0 and doc["steady_states"] == []
+
+    @pytest.mark.parametrize("kappa", ["0,1", "-1,1", "1,-1/2"])
+    def test_nonpositive_rates_exit_2(self, runner, kappa):
+        result = runner.invoke(
+            main, ["witness", str(RUNNING), "--kappa", kappa, "--c", "1"]
+        )
+        assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
+        assert "rate constants must be positive" in result.output
+
+    def test_oracle_refusal_exit_3(self, runner, monkeypatch):
+        monkeypatch.setattr(cli, "count_positive_steady_states", _refuse)
+        result = runner.invoke(main, ["witness", str(ACR)])
+        assert result.exit_code == 3 and "unsupported family" in result.output
 
     def test_dimension_mismatch_exit_2(self, runner):
         result = runner.invoke(main, ["witness", str(RUNNING), "--kappa", "1,1,1"])
@@ -267,6 +330,21 @@ class TestProbeCommand:
         result = runner.invoke(main, ["probe", str(EX53), "--box", "16:1/16"])
         assert result.exit_code != 0
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--samples", "0"],
+            ["--samples", "-5"],
+            ["--box", "2:1"],
+            ["--box", "0:1"],
+            ["--box", "-1:1"],
+            ["--box", "1e400:1e401"],
+        ],
+    )
+    def test_bad_parameters_exit_2(self, runner, args):
+        result = runner.invoke(main, ["probe", str(RUNNING), *args])
+        assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
+
 
 class TestCountRootsCommand:
     def test_trinomial(self, runner):
@@ -288,3 +366,79 @@ class TestCountRootsCommand:
     def test_garbage_rejected(self, runner):
         result = runner.invoke(main, ["count-roots", "--poly", "x^2 ** y"])
         assert result.exit_code != 0
+
+
+
+_rationals = st.sampled_from(["0", "1", "-1", "2", "1/2", "3/7", "-3", "5"])
+
+
+def _values(n):
+    """Comma-separated rationals, n of them or any number up to 6."""
+    return st.one_of(
+        st.lists(_rationals, min_size=n, max_size=n),
+        st.lists(_rationals, max_size=6),
+    ).map(",".join)
+
+
+@st.composite
+def _cases(draw):
+    """Network text and command line: one or two species, either listed
+    first, one to five reactions with stoichiometric coefficients up to 3,
+    and parameter values that include zero, negative and reversed ones."""
+    names = draw(st.sampled_from(["A", "AB", "BA"]))
+    coeffs = st.tuples(*[st.integers(0, 3)] * len(names))
+
+    def complex_text(cs):
+        parts = [f"{c if c > 1 else ''}{s}" for c, s in zip(cs, names) if c]
+        return " + ".join(parts) or "0"
+
+    pairs = draw(
+        st.lists(
+            st.tuples(coeffs, coeffs).filter(lambda p: p[0] != p[1]),
+            min_size=1,
+            max_size=5,
+            unique=True,
+        )
+    )
+    text = "".join(
+        f"{complex_text(y)} -> {complex_text(yp)}; k{i + 1}\n"
+        for i, (y, yp) in enumerate(pairs)
+    )
+    cmd = draw(st.sampled_from(["parse", "analyze", "region", "witness", "probe"]))
+    args = [cmd]
+    if cmd == "analyze":
+        args += ["--samples", str(draw(st.integers(-5, 20))),
+                 "--seed", str(draw(st.integers(0, 9)))]
+    elif cmd == "region":
+        args += ["--kind", draw(st.sampled_from(["allowing", "enabling"]))]
+    elif cmd == "witness":
+        if draw(st.booleans()):
+            args += ["--kappa", draw(_values(len(pairs)))]
+        if draw(st.booleans()):
+            args += ["--c", draw(_values(1))]
+    elif cmd == "probe":
+        box = draw(st.sampled_from(["1/16:16", "1/2:2"]) | st.tuples(_rationals, _rationals).map(":".join))
+        args += ["--samples", str(draw(st.integers(-5, 100))),
+                 "--box", box, "--seed", str(draw(st.integers(0, 9)))]
+    return text, args
+
+
+class TestFuzz:
+    """Every command on small nets and arbitrary parameter values ends with
+    a documented exit code and without a traceback."""
+
+    @given(case=_cases())
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_documented_exit_codes(self, runner, tmp_path, case):
+        text, args = case
+        net = tmp_path / "net.crn"
+        net.write_text(text)
+        result = runner.invoke(main, [args[0], str(net), *args[1:]])
+        assert result.exit_code in (0, 2, 3, 4), (text, args, result.output)
+        assert result.exception is None or isinstance(result.exception, SystemExit), (
+            text, args, repr(result.exception)
+        )

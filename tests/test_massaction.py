@@ -1,16 +1,17 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crnregions import massaction
+from crnregions.classify import UnsupportedFamilyError
 from crnregions.massaction import (
-    ParamPoly,
     count_positive_steady_states,
-    jacobian_restricted_rank,
     ode_rhs,
     steady_state_system,
 )
-from crnregions.network import parse_network
+from crnregions.network import Complex, Reaction, ReactionNetwork, parse_network
 
 
 class TestOdeRhs:
@@ -28,16 +29,6 @@ class TestOdeRhs:
         for p in f:
             for (_, ke) in p.terms:
                 assert sum(ke) == 1
-
-    def test_evaluate_matches_hand_value(self, running_net):
-        f = ode_rhs(running_net)
-        val = f[0].evaluate((Fraction(2), Fraction(3)), (Fraction(1), Fraction(5)))
-        assert val == 4 * 3 - 5 * 2
-
-    def test_partial_x(self):
-        p = ParamPoly.term(2, 1, 3, (2, 1), (1,))
-        dp = p.partial_x(0)
-        assert dp.terms == {((1, 1), (1,)): Fraction(6)}
 
 
 class TestSteadyStateSystem:
@@ -139,6 +130,18 @@ class TestOracle2D:
         res2 = count_positive_steady_states(sys, (2, 1), (Fraction(1),))
         assert res2.count == 0 and not res2.continuum
 
+    def test_vanishing_odes_on_an_empty_class(self):
+        # the rhs is (k1 - k2) x1 x2 (1, -1); on the classes x1 + x2 = c <= 0
+        # there is no positive point, let alone a continuum of states
+        net = parse_network("A + B -> 2A; k1\nA + B -> 2B; k2")
+        sys = steady_state_system(net)
+        for c in (Fraction(0), Fraction(-1)):
+            res = count_positive_steady_states(sys, (1, 1), (c,))
+            assert res.count == 0 and not res.continuum
+        res = count_positive_steady_states(sys, (1, 1), (Fraction(3),))
+        assert res.continuum and res.count == 2
+        assert all(x1 > 0 and x2 > 0 and x1 + x2 == 3 for x1, x2 in res.witnesses)
+
     def test_isolated_state_on_shifted_class(self):
         # steady set is the curve x1 x2 = 1; each class x1 - x2 = c meets it once
         net = parse_network("A + B -> 2A + 2B; k1\n2A + 2B -> A + B; k2")
@@ -164,19 +167,155 @@ class TestOracle2D:
             count_positive_steady_states(sys, (1, 1))
 
 
-class TestJacobianRank:
-    def test_running_example_nondegenerate(self, running_net):
-        sys = steady_state_system(running_net)
-        rank = jacobian_restricted_rank(sys, (1, 1), (Fraction(1, 2), Fraction(2)))
-        assert rank == 1
 
-    def test_degenerate_double_root_state(self, running_net):
-        # on the c = 2 class the two branches merge: x* = (1, 1)
-        sys = steady_state_system(running_net)
-        rank = jacobian_restricted_rank(sys, (1, 1), (Fraction(1), Fraction(1)))
-        assert rank == 0
+REORDERED_ACR = "2B -> 3B; k3\nA -> A + B; k1\nA + B -> A; k2\nA -> 2A; k5\n2A -> A; k6"
 
-    def test_rejects_boundary_point(self, running_net):
-        sys = steady_state_system(running_net)
-        with pytest.raises(ValueError):
-            jacobian_restricted_rank(sys, (1, 1), (Fraction(0), Fraction(1)))
+
+class TestOracleFullDimensional:
+    def test_independent_reaction_vectors_have_no_states(self):
+        # f = N diag(kappa) x^Y with N invertible has no positive zero
+        for text in (
+            "B -> A + B; k1\nA + B -> A + 2B; k2",
+            "A + B -> 2A + B; k1\nA + B -> A + 2B; k2",
+        ):
+            sys = steady_state_system(parse_network(text))
+            res = count_positive_steady_states(sys, (1, 1))
+            assert res.count == 0 and res.witnesses == []
+
+    def test_reordered_acr_pins_second_coordinate(self):
+        # species order (B, A): the ODE of A, the second coordinate, pins it
+        sys = steady_state_system(parse_network(REORDERED_ACR))
+        res = count_positive_steady_states(sys, (1, 1, 5, 1, 1))
+        assert res.count == 2 and res.certified and not res.boundary
+        assert [xa for _, xa in res.witnesses] == [Fraction(1), Fraction(1)]
+        assert all(xb > 0 for xb, _ in res.witnesses)
+
+    def test_decoupled_net_pins_the_rational_coordinate(self):
+        # y* = sqrt(k1/k2) is irrational, x* = k3/k4 is rational: Y is listed
+        # first, so the count goes through the second coordinate
+        net = parse_network("Y -> 2Y; k1\n3Y -> 2Y; k2\n2X -> 3X; k3\n3X -> 2X; k4")
+        assert net.species_names == ("Y", "X")
+        sys = steady_state_system(net)
+        res = count_positive_steady_states(sys, (1, 2, 3, 4))
+        assert res.count == 1
+        ((y, x),) = res.witnesses
+        assert x == Fraction(3, 4)
+        assert float(y) == pytest.approx(0.5**0.5, rel=1e-10)
+
+    def test_vanishing_ode_leaves_the_other_free(self):
+        net = parse_network("A -> 2A; k1\nA -> 0; k2\nB -> 2B; k3\n2B -> B; k4")
+        sys = steady_state_system(net)
+        # k1 = k2: dA/dt vanishes, B is pinned to k3/k4 and A is free
+        res = count_positive_steady_states(sys, (1, 1, 2, 1))
+        assert res.continuum and res.count == 2
+        assert res.witnesses == [(Fraction(1), Fraction(2)), (Fraction(2), Fraction(2))]
+        res = count_positive_steady_states(sys, (1, 2, 2, 1))
+        assert res.count == 0 and not res.continuum
+
+    def test_both_odes_vanishing_is_a_continuum(self):
+        net = parse_network("A -> 2A; k1\nA -> 0; k2\nB -> 2B; k3\nB -> 0; k4")
+        sys = steady_state_system(net)
+        res = count_positive_steady_states(sys, (1, 1, 1, 1))
+        assert res.continuum and res.count == 2
+
+    @pytest.mark.parametrize(
+        "text, kappa",
+        [
+            # once a ZeroPolynomialError in the resultant branch
+            (
+                "A + 2B -> B; k1\n0 -> B; k2\nA + B -> 2B; k3\n2A -> A + B; k4",
+                (Fraction(2, 7), Fraction(3, 4), Fraction(8, 5), Fraction(5, 8)),
+            ),
+            # once an uncertified count 0, where the true count is 1
+            (
+                "A -> 2A + 2B; k1\n2A + B -> A + B; k2\n0 -> 2A; k3\n2A + 2B -> B; k4",
+                (Fraction(2, 3), Fraction(3), Fraction(1), Fraction(5, 2)),
+            ),
+        ],
+    )
+    def test_unpinned_network_is_refused(self, text, kappa):
+        sys = steady_state_system(parse_network(text))
+        with pytest.raises(UnsupportedFamilyError):
+            count_positive_steady_states(sys, kappa)
+
+
+def _complex(coeffs, robust):
+    """A two-species complex whose robust-species coefficient comes first,
+    stored in species order (A, B) with the robust species at index robust."""
+    return Complex(coeffs if robust == 0 else coeffs[::-1])
+
+
+@st.composite
+def _acr_shaped_nets(draw):
+    """Full-dimensional nets where the robust species R has the ODE
+    x_O^t x_R^s (p - q x_R): two reactions change R, from sR + tO to
+    (s+1)R and back, and one to three reactions change only O."""
+    robust = draw(st.sampled_from([0, 1]))
+    s, t = draw(st.integers(0, 2)), draw(st.integers(0, 1))
+    pairs = [
+        ((s, t), (s + 1, draw(st.integers(0, 3)))),
+        ((s + 1, t), (s, draw(st.integers(0, 3)))),
+    ]
+    for _ in range(draw(st.integers(1, 3))):
+        a, b, b2 = draw(st.integers(0, 3)), draw(st.integers(0, 3)), draw(st.integers(0, 2))
+        pairs.append(((a, b), (a, b2 + (b2 >= b))))
+    pairs = list(dict.fromkeys(pairs))
+    order = draw(st.permutations(range(len(pairs))))
+    rxns = tuple(
+        Reaction(_complex(pairs[j][0], robust), _complex(pairs[j][1], robust), f"k{i + 1}")
+        for i, j in enumerate(order)
+    )
+    rates = draw(
+        st.lists(
+            st.fractions(min_value=Fraction(1, 9), max_value=9, max_denominator=9)
+            .filter(lambda v: v > 0),
+            min_size=len(rxns),
+            max_size=len(rxns),
+        )
+    )
+    return ReactionNetwork(("A", "B"), rxns), tuple(rates)
+
+
+class TestOracleAgainstSympy:
+    """The full-dimensional branch against sympy's solve on ACR-shaped nets,
+    with either species as the robust one."""
+
+    @given(_acr_shaped_nets())
+    @settings(max_examples=60, deadline=None)
+    def test_counts_and_states(self, case):
+        sympy = pytest.importorskip("sympy")
+        net, kappa = case
+        res = count_positive_steady_states(steady_state_system(net), kappa)
+        assert res.certified
+
+        x = sympy.symbols("x1 x2")
+        rates = [sympy.Rational(k.numerator, k.denominator) for k in kappa]
+        odes = []
+        for f in ode_rhs(net):
+            # without its monomial factor, an ODE has no solution branch on an axis
+            low = [min(xe[i] for xe, _ in f.terms) for i in (0, 1)]
+            odes.append(
+                sum(
+                    sympy.Rational(c.numerator, c.denominator)
+                    * x[0] ** (xe[0] - low[0]) * x[1] ** (xe[1] - low[1])
+                    * sympy.Mul(*(r**e for r, e in zip(rates, ke)))
+                    for (xe, ke), c in f.terms.items()
+                )
+            )
+        positive, continuum = [], False
+        for sol in sympy.solve(odes, x, dict=True):
+            # casus-irreducibilis roots stay unsigned symbolically: sign numerically
+            point = [complex(sympy.N(v, 40)) for v in sol.values()]
+            if not all(abs(z.imag) < 1e-20 and z.real > 0 for z in point):
+                continue
+            if len(sol) < 2:
+                continuum = True  # the other coordinate is free
+            else:
+                positive.append(tuple(complex(sympy.N(sol[v], 40)).real for v in x))
+        assert res.continuum == continuum
+        if continuum:
+            return
+        assert res.count == len(positive)
+        ours = sorted(tuple(float(v) for v in w) for w in res.witnesses)
+        for mine, theirs in zip(ours, sorted(positive)):
+            assert mine == pytest.approx(theirs, rel=1e-9)

@@ -16,6 +16,7 @@ from crnregions.regions import (
     membership,
     membership_float,
     one_species_coefficient_forms,
+    oracle_sweep,
     project_to_allowing,
     region_acr_reduction,
     region_one_species_net_trinomial,
@@ -211,6 +212,14 @@ class TestTwoSpeciesRegions:
         res = count_positive_steady_states(steady_state_system(net), w[:2], w[2:])
         assert res.count >= 2
 
+    def test_full_dimensional_has_no_total_constant(self):
+        # independent reaction vectors: no conservation law and no c
+        net = parse_network("B -> A + B; k1\nA + B -> A + 2B; k2")
+        enabling, allowing = region_two_species_two_reactions(net)
+        assert enabling.totals == 0 and enabling.ambient == ("k1", "k2")
+        assert enabling.is_empty and allowing.ambient == ("k1", "k2")
+        assert oracle_sweep(net, enabling, seed=1, samples=20) == []
+
     def test_not_multistationary_gives_empty_pair(self):
         net = parse_network("A -> B; k1\nA -> 2A + B; k2")
         enabling, allowing = region_two_species_two_reactions(net)
@@ -232,6 +241,19 @@ class TestAcrReduction:
         assert count_positive_steady_states(sys, (1, 5, 1, 1, 1)).count == 2
         assert not membership(region, (1, 1, 1, 1, 1))
         assert count_positive_steady_states(sys, (1, 1, 1, 1, 1)).count <= 1
+
+    @pytest.mark.parametrize("reordered", [False, True])
+    def test_acr_witness_is_inside(self, acr_net, reordered):
+        net = acr_net
+        if reordered:
+            net = parse_network(
+                "2B -> 3B; k3\nA -> A + B; k1\nA + B -> A; k2\nA -> 2A; k5\n2A -> A; k6"
+            )
+        region = region_acr_reduction(net)
+        (w,) = region.witnesses
+        assert all(isinstance(v, Fraction) and v > 0 for v in w)
+        assert membership(region, w)
+        assert count_positive_steady_states(steady_state_system(net), w).count == 2
 
     def test_non_acr_shape_raises(self, running_net):
         with pytest.raises(UnsupportedFamilyError):

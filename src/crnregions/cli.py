@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import re
+import shlex
 import sys
 from fractions import Fraction
 from typing import NoReturn
@@ -124,7 +125,7 @@ def cmd_parse(file: str, fmt: str) -> None:
         "rate_labels": list(net.rate_labels),
         "n_species": net.num_species,
         "n_reactions": net.num_reactions,
-        "dim_stoichiometric_subspace": matrix_rank([list(map(Fraction, row)) for row in S]),
+        "dim_stoichiometric_subspace": matrix_rank(S),
         "n_conservation_laws": cons.dim,
         "conservation_matrix": [[str(v) for v in row] for row in cons.rows],
     }
@@ -177,7 +178,7 @@ def cmd_analyze(file: str, fmt: str, seed: int, samples: int, no_verify: bool) -
         "dimensions": {
             "n_species": net.num_species,
             "n_reactions": net.num_reactions,
-            "dim_S": matrix_rank([list(map(Fraction, row)) for row in S]),
+            "dim_S": matrix_rank(S),
             "n_conservation_laws": cons.dim,
         },
         "classification": _classification_payload(net),
@@ -188,16 +189,20 @@ def cmd_analyze(file: str, fmt: str, seed: int, samples: int, no_verify: bool) -
     }
     if not no_verify:
         try:
-            bad = len(oracle_sweep(net, enabling, seed, samples))
+            bad = oracle_sweep(net, enabling, seed, samples)
         except UnsupportedFamilyError as exc:
             _fail(f"unsupported family: {exc}", EXIT_UNSUPPORTED)
-        payload["self_check"] = {"samples": samples, "disagreements": bad}
+        payload["self_check"] = {"samples": samples, "disagreements": len(bad)}
         if bad:
             _emit(payload, fmt, _analyze_text)
-            _fail(
-                f"internal inconsistency: {bad}/{samples} self-check disagreements",
-                EXIT_INCONSISTENT,
-            )
+            lines = [f"internal inconsistency: {len(bad)}/{samples} self-check disagreements"]
+            r = net.num_reactions
+            for pt in bad[:3]:
+                args = ["crnregions", "witness", file, "--kappa", ",".join(map(str, pt[:r]))]
+                if pt[r:]:
+                    args += ["--c", ",".join(map(str, pt[r:]))]
+                lines.append("  reproduce: " + shlex.join(args))
+            _fail("\n".join(lines), EXIT_INCONSISTENT)
     _emit(payload, fmt, _analyze_text)
 
 
@@ -340,7 +345,8 @@ def _witness_text(p: dict):
 @click.option("--seed", type=int, default=42, show_default=True)
 @click.option("--samples", type=int, default=4000, show_default=True)
 @click.option("--box", type=str, default="1/16:16", show_default=True,
-              help="Sampling interval lo:hi (positive).")
+              help="Sampling interval lo:hi (positive); the library's "
+                   "ProbeConfig() defaults to 0.01:100 instead.")
 @click.option("--csv", "csv_path", type=click.Path(), default=None,
               help="Write component representatives as CSV.")
 def cmd_probe(file, fmt, kind, seed, samples, box, csv_path) -> None:

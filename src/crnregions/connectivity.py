@@ -311,10 +311,10 @@ def connect_witnesses(
     region: Region,
     p: Sequence[float],
     q: Sequence[float],
-    seed: int = 42,
-    restarts: int = 64,
-    segment_checks: int = 32,
-    box: tuple[float, float] = (0.01, 100.0),
+    seed: int = ProbeConfig.seed,
+    restarts: int = ProbeConfig.merge_restarts,
+    segment_checks: int = ProbeConfig.segment_checks,
+    box: tuple[float, float] = ProbeConfig.box,
 ) -> list[tuple[float, ...]] | None:
     """Search for a piecewise segment path inside the region from p to q.
 

@@ -17,10 +17,17 @@ to exact univariate root counting:
 
 Counts are exact and without multiplicity.  Multiple roots and steady-state
 continua are reported through flags instead of being folded into the count.
+
+The ODEs have integer coefficients, and the oracle substitutes and counts on
+Python integers: each univariate polynomial it counts is the exact one times
+a positive integer that clears the denominators of the rates, totals or
+pinned coordinate, so its roots are unchanged.  UniPoly is built only to
+find the steady states behind a count.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -32,7 +39,7 @@ from .unipoly import (
     UniPoly,
     isolate_positive_roots,
     positive_roots,
-    sturm_count_open_interval,
+    sturm_count_integer,
     sturm_count_positive,
 )
 
@@ -40,65 +47,38 @@ Monomial = tuple[tuple[int, ...], tuple[int, ...]]  # (x exponents, kappa expone
 
 
 class ParamPoly:
-    """Sparse polynomial over Q in concentration variables and rate symbols."""
+    """Sparse polynomial with integer coefficients in concentration
+    variables and rate symbols."""
 
     __slots__ = ("nx", "nk", "terms")
 
-    def __init__(self, nx: int, nk: int, terms: dict[Monomial, Fraction] | None = None):
+    def __init__(self, nx: int, nk: int, terms: dict[Monomial, int] | None = None):
         self.nx = nx
         self.nk = nk
-        self.terms: dict[Monomial, Fraction] = {}
-        if terms:
-            for mono, coeff in terms.items():
-                c = Fraction(coeff)
-                if c != 0:
-                    self.terms[mono] = c
-
-    @classmethod
-    def term(cls, nx: int, nk: int, coeff, xe: tuple[int, ...], ke: tuple[int, ...]):
-        return cls(nx, nk, {(xe, ke): Fraction(coeff)})
+        self.terms: dict[Monomial, int] = {m: c for m, c in (terms or {}).items() if c}
 
     def is_zero(self) -> bool:
         return not self.terms
 
-    def __add__(self, other: "ParamPoly") -> "ParamPoly":
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
-            out[mono] = out.get(mono, Fraction(0)) + c
-        return ParamPoly(self.nx, self.nk, out)
-
     def __neg__(self) -> "ParamPoly":
         return ParamPoly(self.nx, self.nk, {m: -c for m, c in self.terms.items()})
 
-    def __sub__(self, other: "ParamPoly") -> "ParamPoly":
-        return self + (-other)
-
-    def scale(self, k) -> "ParamPoly":
-        k = Fraction(k)
-        return ParamPoly(self.nx, self.nk, {m: c * k for m, c in self.terms.items()})
-
-    def __mul__(self, other: "ParamPoly") -> "ParamPoly":
-        out: dict[Monomial, Fraction] = {}
-        for (xa, ka), ca in self.terms.items():
-            for (xb, kb), cb in other.terms.items():
-                mono = (
-                    tuple(a + b for a, b in zip(xa, xb)),
-                    tuple(a + b for a, b in zip(ka, kb)),
-                )
-                out[mono] = out.get(mono, Fraction(0)) + ca * cb
-        return ParamPoly(self.nx, self.nk, out)
-
-    def substitute_rates(self, kappa: tuple) -> dict[tuple[int, ...], Fraction]:
-        """Collapse rate symbols at a numeric point; keys are x exponents."""
-        out: dict[tuple[int, ...], Fraction] = {}
+    def substitute_rates(self, kappa: tuple[Fraction, ...]) -> dict[tuple[int, ...], int]:
+        """Collapse rate symbols at a positive rational point; keys are x
+        exponents.  The integer values are the exact ones times L^D, where L
+        is the lcm of the rates' denominators and D the largest total degree
+        in the rates: a positive factor, so the roots in x are unchanged."""
+        den = math.lcm(*(k.denominator for k in kappa))
+        scaled = [k.numerator * (den // k.denominator) for k in kappa]
+        top = max((sum(ke) for _xe, ke in self.terms), default=0)
+        out: dict[tuple[int, ...], int] = {}
         for (xe, ke), c in self.terms.items():
-            v = c
-            for base, e in zip(kappa, ke):
+            v = c * den ** (top - sum(ke))
+            for base, e in zip(scaled, ke):
                 if e:
                     v *= base**e
-            if v:
-                out[xe] = out.get(xe, Fraction(0)) + v
-        return {xe: v for xe, v in out.items() if v != 0}
+            out[xe] = out.get(xe, 0) + v
+        return {xe: v for xe, v in out.items() if v}
 
     def __eq__(self, other) -> bool:
         return (
@@ -115,14 +95,13 @@ class ParamPoly:
 def ode_rhs(net: ReactionNetwork) -> list[ParamPoly]:
     """Mass-action right-hand side, one ParamPoly per species."""
     n, r = net.num_species, net.num_reactions
-    out = [ParamPoly(n, r) for _ in range(n)]
+    out: list[dict[Monomial, int]] = [{} for _ in range(n)]
     for i, rxn in enumerate(net.reactions):
+        # one rate symbol per reaction, so no two reactions share a monomial
         ke = tuple(1 if j == i else 0 for j in range(r))
-        xe = rxn.reactant.coeffs
         for j, delta in enumerate(rxn.vector()):
-            if delta:
-                out[j] = out[j] + ParamPoly.term(n, r, delta, xe, ke)
-    return out
+            out[j][(rxn.reactant.coeffs, ke)] = delta
+    return [ParamPoly(n, r, terms) for terms in out]
 
 
 @dataclass(frozen=True)
@@ -161,14 +140,14 @@ class SteadyStateCount:
         return self.find_witnesses()
 
 
-def _univariate(sub: dict[tuple[int, ...], Fraction], axis: int) -> UniPoly:
-    coeffs: list[Fraction] = []
+def _coefficients(sub: dict[tuple[int, ...], int], axis: int) -> list[int]:
+    """Coefficients in x_axis, ascending, summed over the other exponent."""
+    cs = [0] * (max((xe[axis] for xe in sub), default=-1) + 1)
     for xe, c in sub.items():
-        e = xe[axis]
-        if len(coeffs) <= e:
-            coeffs.extend([Fraction(0)] * (e + 1 - len(coeffs)))
-        coeffs[e] += c
-    return UniPoly(coeffs)
+        cs[xe[axis]] += c
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
 
 
 def count_positive_steady_states(
@@ -193,15 +172,15 @@ def count_positive_steady_states(
         )
 
     if n == 1:
-        p = _univariate(sys.odes[0].substitute_rates(kappa), 0)
-        if p.is_zero:
+        cs = _coefficients(sys.odes[0].substitute_rates(kappa), 0)
+        if not cs:
             return SteadyStateCount(
                 2, lambda: [(Fraction(1),), (Fraction(2),)], continuum=True
             )
-        count = sturm_count_positive(p)
+        count = sturm_count_integer(cs, Fraction(0), None)
         return SteadyStateCount(
             int(count),
-            lambda: [(r,) for r in positive_roots(p)],
+            lambda: [(r,) for r in positive_roots(UniPoly(cs))],
             boundary=count.multiple_positive,
         )
 
@@ -220,25 +199,25 @@ def _count_on_line(sys: SteadyStateSystem, subs, cval: Fraction) -> SteadyStateC
     idx = 0 if subs[0] else 1
     if w[1] != 0:
         # x2 = (c - w1*x1)/w2; both coordinates positive on an open x1-interval
-        line = UniPoly([cval / w[1], -w[0] / w[1]])
-        p = _compose_line(subs[idx], axis=0, line=line)
+        a0, b0 = cval / w[1], -w[0] / w[1]
+        cs = _substitute_line(subs[idx], a0, b0)
         lo, hi = _positive_segment(w, cval)
         if lo is None:
             return SteadyStateCount(0, list)
-        if p.is_zero:
+        if not cs:
             mid = _segment_midpoint(lo, hi)
             mid2 = _segment_midpoint(mid, hi)
             return SteadyStateCount(
                 2,
-                lambda: [_line_point(line, mid), _line_point(line, mid2)],
+                lambda: [(mid, a0 + b0 * mid), (mid2, a0 + b0 * mid2)],
                 continuum=True,
             )
-        count = sturm_count_open_interval(p, lo, hi)
+        count = sturm_count_integer(cs, lo, hi)
         return SteadyStateCount(
             int(count),
             lambda: [
-                _line_point(line, r)
-                for r in positive_roots(p)
+                (r, a0 + b0 * r)
+                for r in positive_roots(UniPoly(cs))
                 if r > lo and (hi is None or r < hi)
             ],
             boundary=count.multiple_positive,
@@ -246,21 +225,17 @@ def _count_on_line(sys: SteadyStateSystem, subs, cval: Fraction) -> SteadyStateC
     # w = [1, 0]: class fixes x1 = c; reduce to a univariate in x2
     if cval <= 0:
         return SteadyStateCount(0, list)
-    q = _substitute_axis(subs[idx], axis=0, value=cval)
-    if q.is_zero:
+    cs = _substitute_axis(subs[idx], axis=0, value=cval)
+    if not cs:
         return SteadyStateCount(
             2, lambda: [(cval, Fraction(1)), (cval, Fraction(2))], continuum=True
         )
-    count = sturm_count_positive(q)
+    count = sturm_count_integer(cs, Fraction(0), None)
     return SteadyStateCount(
         int(count),
-        lambda: [(cval, r) for r in positive_roots(q)],
+        lambda: [(cval, r) for r in positive_roots(UniPoly(cs))],
         boundary=count.multiple_positive,
     )
-
-
-def _line_point(line: UniPoly, x1: Fraction) -> tuple[Fraction, Fraction]:
-    return (x1, line(x1))
 
 
 def _segment_midpoint(lo: Fraction, hi: Fraction | None) -> Fraction:
@@ -287,26 +262,36 @@ def _positive_segment(w, cval: Fraction):
     return lo, hi
 
 
-def _compose_line(sub: dict[tuple[int, ...], Fraction], axis: int, line: UniPoly) -> UniPoly:
-    """Substitute x_other = line(x_axis) into a bivariate polynomial."""
-    out = UniPoly.zero()
-    other = 1 - axis
-    for xe, c in sub.items():
-        term = UniPoly.monomial(c, xe[axis]) * line ** xe[other]
-        out = out + term
-    return out
+def _substitute_line(sub: dict[tuple[int, ...], int], a0: Fraction, b0: Fraction) -> list[int]:
+    """Integer coefficients in x1 of sub at x2 = a0 + b0*x1.
+
+    With a0 + b0*x1 = (A + B*x1)/M, a term c x1^i x2^j becomes
+    c x1^i (A + B*x1)^j M^(E-j), E the largest j: the polynomial times M^E.
+    """
+    if not sub:
+        return []
+    M = math.lcm(a0.denominator, b0.denominator)
+    A, B = a0.numerator * (M // a0.denominator), b0.numerator * (M // b0.denominator)
+    E = max(xe[1] for xe in sub)
+    powers = [[1]]  # (A + B*x1)^j
+    for _ in range(E):
+        prev = powers[-1]
+        powers.append([A * u + B * v for u, v in zip(prev + [0], [0] + prev)])
+    cs = [0] * (max(i + j for i, j in sub) + 1)
+    for (i, j), c in sub.items():
+        f = c * M ** (E - j)
+        for k, v in enumerate(powers[j]):
+            cs[i + k] += f * v
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
 
 
-def _substitute_axis(sub, axis: int, value: Fraction) -> UniPoly:
-    out: dict[int, Fraction] = {}
-    other = 1 - axis
-    for xe, c in sub.items():
-        e = xe[other]
-        out[e] = out.get(e, Fraction(0)) + c * value ** xe[axis]
-    coeffs = [Fraction(0)] * (max(out) + 1 if out else 0)
-    for e, v in out.items():
-        coeffs[e] = v
-    return UniPoly(coeffs)
+def _substitute_axis(sub: dict[tuple[int, ...], int], axis: int, value: Fraction) -> list[int]:
+    """Integer coefficients in the other coordinate of sub at x_axis = value."""
+    if axis == 0:
+        sub = {(x2, x1): c for (x1, x2), c in sub.items()}
+    return _substitute_line(sub, value, Fraction(0))
 
 
 def _count_full_dimensional(net: ReactionNetwork, subs) -> SteadyStateCount:
@@ -320,7 +305,9 @@ def _count_full_dimensional(net: ReactionNetwork, subs) -> SteadyStateCount:
         pins = [j for j in (0, 1) if len({xe[other] for xe in subs[j]}) <= 1]
         if len(pins) == 2:
             # both ODEs pin x_axis: x_other is free at each common positive root
-            g = _univariate(subs[0], axis).gcd(_univariate(subs[1], axis))
+            g = UniPoly(_coefficients(subs[0], axis)).gcd(
+                UniPoly(_coefficients(subs[1], axis))
+            )
             if g.is_zero:
                 return _free_continuum(axis, lambda: Fraction(1))
             if g.degree() >= 1 and sturm_count_positive(g) > 0:
@@ -328,24 +315,26 @@ def _count_full_dimensional(net: ReactionNetwork, subs) -> SteadyStateCount:
             return SteadyStateCount(0, list)
         if not pins or not subs[pins[0]]:
             continue
-        roots = isolate_positive_roots(_univariate(subs[pins[0]], axis))
+        roots = isolate_positive_roots(UniPoly(_coefficients(subs[pins[0]], axis)))
         if any(a != b for a, b in roots):
             continue  # an irrational pin: try the other coordinate
         g = subs[1 - pins[0]]
         total = 0
         boundary = False
-        partners: list[tuple[Fraction, UniPoly]] = []
+        partners: list[tuple[Fraction, list[int]]] = []
         for a, _ in roots:
             q = _substitute_axis(g, axis=axis, value=a)
-            if q.is_zero:
+            if not q:
                 return _free_continuum(axis, lambda: a)
-            cnt = sturm_count_positive(q)
+            cnt = sturm_count_integer(q, Fraction(0), None)
             total += cnt
             partners.append((a, q))
             boundary = boundary or cnt.multiple_positive
         return SteadyStateCount(
             total,
-            lambda: [_point(axis, a, r) for a, q in partners for r in positive_roots(q)],
+            lambda: [
+                _point(axis, a, r) for a, q in partners for r in positive_roots(UniPoly(q))
+            ],
             boundary=boundary,
         )
     raise UnsupportedFamilyError(

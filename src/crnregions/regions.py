@@ -572,7 +572,7 @@ def region_acr_reduction(net: ReactionNetwork) -> Region:
         if c_lo <= 0 or c_hi >= 0:
             continue
         # x_axis* = (c_lo/(-c_hi)) * kappa^(ke_lo - ke_hi), a monomial
-        star_coeff = c_lo / (-c_hi)
+        star_coeff = Fraction(c_lo, -c_hi)
         star_exps = tuple(a - b for a, b in zip(ke_lo, ke_hi))
         g = odes[other_axis]
         if g.is_zero():
@@ -776,50 +776,97 @@ def oracle_sweep(
 
     Draws samples points away from the region's boundary.  Each coordinate
     has a log-uniform magnitude in [2^-6, 2^6], rounded to a denominator of
-    at most 10^9, and totals take either sign.  A point is redrawn when some
-    condition is within a relative 1e-6 of 0.  A point disagrees when it is
-    inside the region and the oracle counts fewer than two positive steady
-    states there, or the reverse.
+    at most 10^9 as Fraction.limit_denominator does, and totals take either
+    sign.  A point is redrawn when some condition is within 1/10^6 of 0
+    relative to its terms: 10^6 |value| < sum |term|, exactly.  A point
+    disagrees when it is inside the region and the oracle counts fewer than
+    two positive steady states there, or the reverse.
+
+    One pass over each condition on integers decides both the boundary rule
+    and membership: at x_i = n_i/d_i, a term k x^e is evaluated as
+    k prod n_i^e_i d_i^(deg_i - e_i), deg_i the largest exponent of x_i in
+    the region, which is its value times one positive integer per point.
     """
     sys_ = steady_state_system(net)
     rng = random.Random(seed)
-    n = len(enabling.ambient) - enabling.totals
+    dim = len(enabling.ambient)
+    n = dim - enabling.totals
+    terms = [e for conj in enabling.conjuncts for cond in conj for e in cond.poly.terms]
+    deg = [max((e[i] for e in terms), default=0) for i in range(dim)]
+    live = [i for i in range(dim) if deg[i]]
+    # each condition as its sign and its terms (k, [(j, e) per live coordinate j])
+    sign = {"<0": -1, "=0": 0, ">0": 1}
+    conjuncts = [
+        [
+            (sign[cond.rel], [(k, list(enumerate(e[i] for i in live)))
+                              for e, k in cond.poly.terms.items()])
+            for cond in conj
+        ]
+        for conj in enabling.conjuncts
+    ]
+    span = 6 * math.log(2)
     bad = []
     done = 0
     while done < samples:
         pt = []
-        for i in range(len(enabling.ambient)):
-            mag = Fraction(math.exp(rng.uniform(-6 * math.log(2), 6 * math.log(2))))
+        for i in range(dim):
+            mag = math.exp(rng.uniform(-span, span))
             if i >= n and rng.random() < 0.5:
                 mag = -mag
-            pt.append(mag.limit_denominator(10**9))
-        if _near_boundary(enabling, pt):
+            pt.append(_limit_denominator(mag, 10**9))
+        # powers[j][e] = n^e d^(deg - e) for live coordinate j at n/d
+        powers = [
+            [pt[i][0] ** e * pt[i][1] ** (deg[i] - e) for e in range(deg[i] + 1)]
+            for i in live
+        ]
+        inside = near = False
+        for conj in conjuncts:
+            holds = True
+            for want, cond_terms in conj:
+                val = scale = 0
+                for t, exps in cond_terms:
+                    for j, e in exps:
+                        t *= powers[j][e]
+                    val += t
+                    scale += abs(t)
+                if 10**6 * abs(val) < scale:
+                    near = True
+                    break
+                holds = holds and (val > 0) - (val < 0) == want
+            if near:
+                break
+            inside = inside or holds
+        if near:
             continue
         done += 1
-        inside = membership(enabling, pt)
-        result = count_positive_steady_states(sys_, tuple(pt[:n]), tuple(pt[n:]))
+        point = tuple(Fraction(num, den) for num, den in pt)
+        result = count_positive_steady_states(sys_, point[:n], point[n:])
         if inside != (result.count >= 2):
-            bad.append(tuple(pt))
+            bad.append(point)
     return bad
 
 
-def _near_boundary(region: Region, pt, rel: float = 1e-6) -> bool:
-    """Whether some condition's value is within rel of 0, relative to the sum
-    of its terms' magnitudes (exact values, each term computed once)."""
-    for conj in region.conjuncts:
-        for cond in conj:
-            terms = []
-            for exps, c in cond.poly.terms.items():
-                t = Fraction(c)
-                for base, e in zip(pt, exps):
-                    if e:
-                        t *= base**e
-                terms.append(t)
-            val = sum(terms)
-            scale = sum(abs(t) for t in terms)
-            if scale != 0 and abs(val) < rel * scale:
-                return True
-    return False
+def _limit_denominator(x: float, max_den: int) -> tuple[int, int]:
+    """(numerator, denominator) of Fraction(x).limit_denominator(max_den),
+    by the same continued-fraction steps on integers."""
+    n, d = x.as_integer_ratio()
+    if d <= max_den:
+        return n, d
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    a, b = n, d
+    while True:
+        q = a // b
+        q2 = q0 + q * q1
+        if q2 > max_den:
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + q * p1, q2
+        a, b = b, a - q * b
+    k = (max_den - q0) // q1
+    p2, q2 = p0 + k * p1, q0 + k * q1
+    # the nearer of p1/q1 and p2/q2 to n/d; p1/q1 on a tie
+    if abs(p1 * d - n * q1) * q2 <= abs(p2 * d - n * q2) * q1:
+        return p1, q1
+    return p2, q2
 
 
 # ---------------------------------------------------------------------------

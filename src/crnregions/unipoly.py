@@ -45,13 +45,6 @@ class UniPoly:
     def zero(cls) -> "UniPoly":
         return cls(())
 
-    @classmethod
-    def monomial(cls, coeff, exp: int) -> "UniPoly":
-        c = Fraction(coeff)
-        if c == 0:
-            return cls.zero()
-        return cls([Fraction(0)] * exp + [c])
-
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -135,9 +128,6 @@ class UniPoly:
                     rem[k + j] -= coef * c
         q.reverse()
         return UniPoly(q), UniPoly(rem[:d] if len(rem) > d else rem)
-
-    def __floordiv__(self, other: "UniPoly") -> "UniPoly":
-        return self.divmod(other)[0]
 
     def __mod__(self, other: "UniPoly") -> "UniPoly":
         return self.divmod(other)[1]
@@ -354,18 +344,23 @@ def _count_open(cs: list[int], a: Fraction, b: Fraction | None) -> RootCount:
     return RootCount(count, multiple)
 
 
+def sturm_count_integer(cs: list[int], a: Fraction, b: Fraction | None) -> RootCount:
+    """Distinct roots in the open interval (a, b), b = None meaning +inf, of
+    the polynomial with integer coefficients cs (ascending, nonzero last)."""
+    if not cs:
+        raise ZeroPolynomialError("Sturm count requires a nonzero polynomial")
+    return _count_open(_primitive(cs), a, b)
+
+
 def sturm_count_positive(p: UniPoly) -> RootCount:
     """Number of distinct roots in (0, inf), by one integer Sturm chain."""
-    if p.is_zero:
-        raise ZeroPolynomialError("Sturm count requires a nonzero polynomial")
-    return _count_open(_integer_coeffs(p), Fraction(0), None)
+    return sturm_count_integer(_integer_coeffs(p), Fraction(0), None)
 
 
 def sturm_count_open_interval(p: UniPoly, a: Fraction, b: Fraction | None) -> RootCount:
     """Distinct roots of p in the open interval (a, b); b=None means +inf."""
-    if p.is_zero:
-        raise ZeroPolynomialError("Sturm count requires a nonzero polynomial")
-    return _count_open(_integer_coeffs(p), Fraction(a), None if b is None else Fraction(b))
+    b = None if b is None else Fraction(b)
+    return sturm_count_integer(_integer_coeffs(p), Fraction(a), b)
 
 
 def root_upper_bound(p: UniPoly) -> Fraction:

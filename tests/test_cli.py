@@ -1,5 +1,6 @@
 import io
 import json
+import shlex
 import tracemalloc
 from contextlib import redirect_stderr
 from fractions import Fraction
@@ -12,8 +13,9 @@ from hypothesis import strategies as st
 from crnregions import cli, regions
 from crnregions.classify import UnsupportedFamilyError
 from crnregions.cli import main
+from crnregions.massaction import SteadyStateCount
 
-from conftest import ACR, EQ19, EX53, PROP51, RUNNING
+from conftest import ACR, EQ19, EX53, PROP51, RUNNING, load
 
 
 FULL_TWO_REACTIONS = "B -> A + B; k1\nA + B -> A + 2B; k2\n"
@@ -180,6 +182,32 @@ class TestAnalyzeCommand:
         monkeypatch.setattr(regions, "count_positive_steady_states", _refuse)
         result = runner.invoke(main, ["analyze", str(ACR), "--samples", "5"])
         assert result.exit_code == 3 and "unsupported family" in result.output
+
+    def test_disagreements_name_reproducible_points(self, runner, monkeypatch):
+        # an oracle that miscounts every point: the disagreements are exactly
+        # the accepted points inside the region
+        def miscount(sys_, kappa, c=()):
+            return SteadyStateCount(0, list)
+
+        monkeypatch.setattr(regions, "count_positive_steady_states", miscount)
+        net = load(RUNNING)
+        enabling, _ = regions.regions_for_network(net)
+        bad = regions.oracle_sweep(net, enabling, 42, 100)
+        result = runner.invoke(main, ["analyze", str(RUNNING)])
+        assert result.exit_code == 4
+        assert json.loads(result.stdout)["self_check"]["disagreements"] == len(bad) > 3
+        lines = result.stderr.splitlines()
+        assert lines[0] == f"internal inconsistency: {len(bad)}/100 self-check disagreements"
+        assert len(lines) == 4
+        monkeypatch.undo()
+        for line, point in zip(lines[1:], bad):
+            prefix = "  reproduce: crnregions witness "
+            assert line.startswith(prefix)
+            args = shlex.split(line[len(prefix):])
+            assert args == [str(RUNNING), "--kappa", f"{point[0]},{point[1]}", "--c", str(point[2])]
+            doc = run_json(runner, "witness", *args)
+            assert [Fraction(v) for v in doc["kappa"] + doc["c"]] == list(point)
+            assert doc["count"] == 2
 
     def test_text_format(self, runner):
         result = runner.invoke(

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from crnregions import massaction
@@ -12,6 +12,7 @@ from crnregions.massaction import (
     steady_state_system,
 )
 from crnregions.network import Complex, Reaction, ReactionNetwork, parse_network
+from crnregions.unipoly import UniPoly, positive_roots, sturm_count_open_interval
 
 
 class TestOdeRhs:
@@ -319,3 +320,112 @@ class TestOracleAgainstSympy:
         ours = sorted(tuple(float(v) for v in w) for w in res.witnesses)
         for mine, theirs in zip(ours, sorted(positive)):
             assert mine == pytest.approx(theirs, rel=1e-9)
+
+
+@st.composite
+def _on_line_nets(draw):
+    """One-species nets, and two-species nets whose reaction vectors are all
+    multiples of one direction, so that one conservation law holds."""
+    # a few repeated rates, so that coefficients cancel now and then
+    rates = st.one_of(
+        st.sampled_from([Fraction(1), Fraction(2), Fraction(1, 2)]),
+        st.fractions(min_value=Fraction(1, 9), max_value=9, max_denominator=9),
+    )
+    if draw(st.booleans()):
+        pairs = draw(
+            st.lists(
+                st.tuples(st.integers(0, 4), st.integers(0, 4)).filter(lambda p: p[0] != p[1]),
+                min_size=2,
+                max_size=5,
+                unique=True,
+            )
+        )
+        pairs = [((a,), (b,)) for a, b in pairs]
+        species, c = ("A",), ()
+    else:
+        v = draw(st.tuples(st.integers(-2, 2), st.integers(-2, 2)).filter(any))
+        start = (max(0, -v[0]), max(0, -v[1]))
+        pairs = [(start, (start[0] + v[0], start[1] + v[1]))]
+        for _ in range(draw(st.integers(0, 3))):
+            a = draw(st.tuples(st.integers(0, 3), st.integers(0, 3)))
+            m = draw(st.sampled_from([-2, -1, 1, 2]))
+            b = (a[0] + m * v[0], a[1] + m * v[1])
+            if min(b) >= 0 and (a, b) not in pairs:
+                pairs.append((a, b))
+        assume(all(any(a[j] or b[j] for a, b in pairs) for j in (0, 1)))
+        species = ("A", "B")
+        c = (draw(st.fractions(min_value=-3, max_value=9, max_denominator=9)),)
+    rxns = tuple(Reaction(Complex(a), Complex(b), f"k{i + 1}") for i, (a, b) in enumerate(pairs))
+    kappa = draw(st.lists(rates, min_size=len(rxns), max_size=len(rxns)))
+    return ReactionNetwork(species, rxns), tuple(kappa), c
+
+
+def _fraction_oracle(net, kappa, c):
+    """(count, boundary, continuum, steady states) from the oracle's
+    substitution as it ran on Fractions before the integer one."""
+    sys = steady_state_system(net)
+    subs = []
+    for f in sys.odes:
+        sub = {}
+        for (xe, ke), coeff in f.terms.items():
+            v = Fraction(coeff)
+            for k, e in zip(kappa, ke):
+                v *= k**e
+            sub[xe] = sub.get(xe, 0) + v
+        subs.append({xe: v for xe, v in sub.items() if v})
+    sub = subs[0] if subs[0] else subs[-1]
+
+    def collect(axis, value=None):
+        out = {}
+        for xe, v in sub.items():
+            e = xe[axis]
+            out[e] = out.get(e, 0) + (v if value is None else v * value ** xe[1 - axis])
+        return UniPoly([out.get(e, 0) for e in range(max(out, default=-1) + 1)])
+
+    if net.num_species == 1:
+        p, lo, hi, point = collect(0), Fraction(0), None, lambda r: (r,)
+    else:
+        (cval,) = c
+        w = sys.cons.rows[0]
+        if w[1] != 0:
+            line = UniPoly([cval / w[1], -w[0] / w[1]])
+            p = UniPoly.zero()
+            for xe, v in sub.items():
+                p = p + UniPoly([0] * xe[0] + [v]) * line ** xe[1]
+            lo, hi = massaction._positive_segment(w, cval)
+            point = lambda r: (r, line(r))  # noqa: E731
+            if lo is None:
+                return 0, False, False, []
+        else:
+            if cval <= 0:
+                return 0, False, False, []
+            p, lo, hi, point = collect(1, cval), Fraction(0), None, lambda r: (cval, r)
+    if p.is_zero:
+        return None  # a continuum: its sample states are not the substitution's
+    count = sturm_count_open_interval(p, lo, hi)
+    states = [point(r) for r in positive_roots(p) if r > lo and (hi is None or r < hi)]
+    return int(count), count.multiple_positive, False, states
+
+
+def _case(text, kappa, c=()):
+    return parse_network(text), tuple(map(Fraction, kappa)), tuple(map(Fraction, c))
+
+
+class TestIntegerSubstitution:
+    @given(_on_line_nets())
+    @example(_case("0 -> A; k1\nA -> 0; k2\n2A -> 3A; k3", (1, 2, 1)))  # double root
+    @example(_case("0 -> A; k1\nA -> 0; k2\n2A -> 3A; k3", (1, 3, 1)))  # two irrational
+    @example(_case("2A + B -> 3A; k1\nA -> B; k2", (1, 1), ("5/2",)))  # two rational
+    @example(_case("A -> 2A; k1\nA -> 0; k2", (1, 1)))  # a continuum
+    @example(_case("2A + B -> 3A; k1\nA -> B; k2", (1, 1), (3,)))  # two irrational
+    @example(_case("A + B -> 2A; k1\nA + B -> 2B; k2", (2, 2), (3,)))  # a continuum
+    @example(_case("A + B -> A\nA + 2B -> A + 3B\nA + 3B -> A + 2B", (1, 3, 1), (2,)))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_fraction_substitution(self, case):
+        net, kappa, c = case
+        res = count_positive_steady_states(steady_state_system(net), kappa, c)
+        want = _fraction_oracle(net, kappa, c)
+        if want is None:
+            assert res.continuum and res.count == 2
+        else:
+            assert (res.count, res.boundary, res.continuum, res.witnesses) == want

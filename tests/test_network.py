@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from crnregions.network import (
     Complex,
@@ -103,6 +105,18 @@ class TestLinearAlgebra:
 
     def test_rank(self, running_net):
         assert matrix_rank(stoichiometric_matrix(running_net)) == 1
+
+    @given(
+        st.integers(1, 5).flatmap(
+            lambda cols: st.lists(
+                st.lists(st.integers(-4, 4), min_size=cols, max_size=cols),
+                min_size=1,
+                max_size=5,
+            )
+        )
+    )
+    def test_integer_rank_matches_rref(self, rows):
+        assert matrix_rank(rows) == len(rref(rows))
 
     def test_conservation_matrix_running(self, running_net):
         W = conservation_matrix(running_net)

@@ -1,16 +1,25 @@
 import json
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from crnregions import regions
 from crnregions.classify import UnsupportedFamilyError
-from crnregions.massaction import count_positive_steady_states, steady_state_system
+from crnregions.massaction import (
+    SteadyStateCount,
+    count_positive_steady_states,
+    steady_state_system,
+)
 from crnregions.network import parse_network
 from crnregions.regions import (
     Region,
     SignCondition,
     SymPoly,
+    _limit_denominator,
     connectivity_verdict,
     cutoff_c_star,
     membership,
@@ -24,6 +33,8 @@ from crnregions.regions import (
     region_two_species_two_reactions,
     regions_for_network,
 )
+
+from conftest import NETS
 
 
 # the one-species net with a rate label that starts with "c", and the
@@ -341,3 +352,91 @@ class TestSerialization:
         b = json.dumps(region_to_json(allowing), sort_keys=True)
         assert a == b
         assert "conditions" not in json.loads(a)
+
+
+def _fraction_sweep(enabling, seed, samples):
+    """The self-check's sampler, boundary filter and membership test as they
+    ran on Fractions before the integer sweep: (point, inside) per accepted
+    point."""
+    rng = random.Random(seed)
+    n = len(enabling.ambient) - enabling.totals
+    out = []
+    while len(out) < samples:
+        pt = []
+        for i in range(len(enabling.ambient)):
+            mag = Fraction(math.exp(rng.uniform(-6 * math.log(2), 6 * math.log(2))))
+            if i >= n and rng.random() < 0.5:
+                mag = -mag
+            pt.append(mag.limit_denominator(10**9))
+        if not _near_boundary(enabling, pt):
+            out.append((tuple(pt), membership(enabling, pt)))
+    return out
+
+
+def _near_boundary(region, pt, rel=1e-6):
+    for conj in region.conjuncts:
+        for cond in conj:
+            terms = []
+            for exps, c in cond.poly.terms.items():
+                t = Fraction(c)
+                for base, e in zip(pt, exps):
+                    if e:
+                        t *= base**e
+                terms.append(t)
+            scale = sum(abs(t) for t in terms)
+            if scale != 0 and abs(sum(terms)) < rel * scale:
+                return True
+    return False
+
+
+class TestIntegerSweep:
+    @given(
+        st.one_of(
+            st.floats(min_value=2**-6, max_value=2**6),
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.integers(-(2**20), 2**20).map(lambda k: k / 64),
+        ),
+        st.one_of(st.integers(1, 100), st.sampled_from([10**6, 10**9]), st.integers(1, 2**60)),
+    )
+    @settings(max_examples=500)
+    def test_limit_denominator_matches_fraction(self, x, max_den):
+        want = Fraction(x).limit_denominator(max_den)
+        assert _limit_denominator(x, max_den) == (want.numerator, want.denominator)
+
+    @pytest.mark.parametrize("path", sorted(NETS.glob("*.crn")), ids=lambda p: p.stem)
+    def test_same_points_and_memberships_as_fraction_sweep(self, path, monkeypatch):
+        # an oracle that records its points and counts 0 everywhere: the
+        # disagreements are then exactly the accepted points inside the region
+        seen = []
+
+        def record(sys_, kappa, c=()):
+            seen.append(tuple(kappa) + tuple(c))
+            return SteadyStateCount(0, list)
+
+        monkeypatch.setattr(regions, "count_positive_steady_states", record)
+        net = parse_network(path.read_text())
+        enabling, _ = regions_for_network(net)
+        for seed in range(5):
+            seen.clear()
+            bad = oracle_sweep(net, enabling, seed, 200)
+            want = _fraction_sweep(enabling, seed, 200)
+            assert seen == [pt for pt, _ in want]
+            assert bad == [pt for pt, inside in want if inside]
+
+    def test_boundary_rule_is_exact(self, monkeypatch):
+        # k1 - k2 > 0 at integer points drawn in this order: 10^6 |value|
+        # equals the sum of the terms' magnitudes at the first point, which
+        # is kept; it is below it at the second, which is redrawn
+        draws = iter([10**6 + 1, 10**6 - 1, 2 * 10**6 + 1, 2 * 10**6 - 1, 3, 1])
+        monkeypatch.setattr(regions, "_limit_denominator", lambda x, m: (next(draws), 1))
+        seen = []
+
+        def record(sys_, kappa, c=()):
+            seen.append(tuple(kappa))
+            return SteadyStateCount(0, list)
+
+        monkeypatch.setattr(regions, "count_positive_steady_states", record)
+        cond = SignCondition(SymPoly(2, {(1, 0): 1, (0, 1): -1}), ">0")
+        region = Region("allowing", ("k1", "k2"), ((cond,),), "test")
+        net = parse_network("0 -> A; k1\nA -> 0; k2")
+        assert oracle_sweep(net, region, 0, 2) == seen == [(10**6 + 1, 10**6 - 1), (3, 1)]

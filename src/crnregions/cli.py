@@ -25,9 +25,7 @@ from .network import (
     NetworkParseError,
     conservation_matrix,
     format_network,
-    matrix_rank,
     parse_network,
-    stoichiometric_matrix,
 )
 from .regions import (
     Region,
@@ -116,7 +114,6 @@ fmt_option = click.option(
 def cmd_parse(file: str, fmt: str) -> None:
     """Parse a network file and print a summary."""
     net = _load_network(file)
-    S = stoichiometric_matrix(net)
     cons = conservation_matrix(net)
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -125,7 +122,8 @@ def cmd_parse(file: str, fmt: str) -> None:
         "rate_labels": list(net.rate_labels),
         "n_species": net.num_species,
         "n_reactions": net.num_reactions,
-        "dim_stoichiometric_subspace": matrix_rank(S),
+        # dim S + dim of its left null space = number of species
+        "dim_stoichiometric_subspace": net.num_species - cons.dim,
         "n_conservation_laws": cons.dim,
         "conservation_matrix": [[str(v) for v in row] for row in cons.rows],
     }
@@ -170,7 +168,6 @@ def cmd_analyze(file: str, fmt: str, seed: int, samples: int, no_verify: bool) -
     """Full analysis: classification, regions, connectivity."""
     net = _load_network(file)
     enabling, allowing = _build_regions(net)
-    S = stoichiometric_matrix(net)
     cons = conservation_matrix(net)
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -178,7 +175,7 @@ def cmd_analyze(file: str, fmt: str, seed: int, samples: int, no_verify: bool) -
         "dimensions": {
             "n_species": net.num_species,
             "n_reactions": net.num_reactions,
-            "dim_S": matrix_rank(S),
+            "dim_S": net.num_species - cons.dim,
             "n_conservation_laws": cons.dim,
         },
         "classification": _classification_payload(net),
@@ -391,7 +388,8 @@ _TERM_RE = re.compile(
 
 
 def _parse_poly(text: str) -> UniPoly:
-    """Parse strings like "x^2 - 3x + 2" into a UniPoly."""
+    """Parse strings like "x^2 - 3x + 2" into a UniPoly, scaled to integer
+    coefficients by the lcm of the denominators."""
     coeffs: dict[int, Fraction] = {}
     pos = 0
     var_name = None
@@ -417,22 +415,20 @@ def _parse_poly(text: str) -> UniPoly:
         coeffs[exp] = coeffs.get(exp, Fraction(0)) + sign * coeff
         pos = m.end()
     deg = max(coeffs)
-    return UniPoly([coeffs.get(i, Fraction(0)) for i in range(deg + 1)])
+    return UniPoly.from_rationals(coeffs.get(i, 0) for i in range(deg + 1))
 
 
 def _as_trinomial(p: UniPoly) -> TrinomialForm | None:
     """Match x^n - c x^k + b (after monic normalization) or return None."""
-    q = p if p.coeffs[-1] > 0 else UniPoly([-c for c in p.coeffs])
-    lead = q.coeffs[-1]
-    q = UniPoly([c / lead for c in q.coeffs])
-    support = [i for i, c in enumerate(q.coeffs) if c != 0]
+    support = [i for i, c in enumerate(p.coeffs) if c != 0]
     if len(support) != 3 or support[0] != 0:
         return None
     k, n = support[1], support[2]
-    b, mck = q.coeffs[0], q.coeffs[k]
-    if b <= 0 or mck >= 0:
+    lead = p.coeffs[n]
+    b, c = Fraction(p.coeffs[0], lead), Fraction(-p.coeffs[k], lead)
+    if b <= 0 or c <= 0:
         return None
-    return TrinomialForm(n, k, b, -mck)
+    return TrinomialForm(n, k, b, c)
 
 
 @main.command("count-roots")

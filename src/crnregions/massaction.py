@@ -21,8 +21,9 @@ continua are reported through flags instead of being folded into the count.
 The ODEs have integer coefficients, and the oracle substitutes and counts on
 Python integers: each univariate polynomial it counts is the exact one times
 a positive integer that clears the denominators of the rates, totals or
-pinned coordinate, so its roots are unchanged.  UniPoly is built only to
-find the steady states behind a count.
+pinned coordinate, so its roots are unchanged.  Every count goes through
+_count: a UniPoly on those integers, Sturm-counted on an open interval,
+whose steady states are found only when first read.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable
+from typing import Callable, Sequence
 
 from .classify import UnsupportedFamilyError
 from .network import ConservationMatrix, ReactionNetwork, conservation_matrix
@@ -39,8 +40,7 @@ from .unipoly import (
     UniPoly,
     isolate_positive_roots,
     positive_roots,
-    sturm_count_integer,
-    sturm_count_positive,
+    sturm_count_open_interval,
 )
 
 Monomial = tuple[tuple[int, ...], tuple[int, ...]]  # (x exponents, kappa exponents)
@@ -173,16 +173,7 @@ def count_positive_steady_states(
 
     if n == 1:
         cs = _coefficients(sys.odes[0].substitute_rates(kappa), 0)
-        if not cs:
-            return SteadyStateCount(
-                2, lambda: [(Fraction(1),), (Fraction(2),)], continuum=True
-            )
-        count = sturm_count_integer(cs, Fraction(0), None)
-        return SteadyStateCount(
-            int(count),
-            lambda: [(r,) for r in positive_roots(UniPoly(cs))],
-            boundary=count.multiple_positive,
-        )
+        return _count(cs, Fraction(0), None, lambda r: (r,))
 
     subs = [sys.odes[j].substitute_rates(kappa) for j in range(2)]
     if sys.cons.dim == 2:
@@ -193,6 +184,26 @@ def count_positive_steady_states(
     return _count_full_dimensional(net, subs)
 
 
+def _count(
+    cs: Sequence[int], lo: Fraction, hi: Fraction | None, point: Callable[[Fraction], tuple]
+) -> SteadyStateCount:
+    """Steady states point(r) for the distinct roots r of the integer
+    polynomial cs in (lo, hi), hi = None meaning +inf.  A zero cs leaves the
+    coordinate free: a continuum, sampled at the midpoint of (lo, hi) and at
+    the midpoint of the half above it."""
+    if not cs:
+        mid = _segment_midpoint(lo, hi)
+        mid2 = _segment_midpoint(mid, hi)
+        return SteadyStateCount(2, lambda: [point(mid), point(mid2)], continuum=True)
+    p = UniPoly(cs)
+    count = sturm_count_open_interval(p, lo, hi)
+    return SteadyStateCount(
+        int(count),
+        lambda: [point(r) for r in positive_roots(p) if r > lo and (hi is None or r < hi)],
+        boundary=count.multiple_positive,
+    )
+
+
 def _count_on_line(sys: SteadyStateSystem, subs, cval: Fraction) -> SteadyStateCount:
     w = sys.cons.rows[0]  # RREF: leading entry is 1
     # pick an ODE that is not identically zero, if there is one
@@ -200,46 +211,20 @@ def _count_on_line(sys: SteadyStateSystem, subs, cval: Fraction) -> SteadyStateC
     if w[1] != 0:
         # x2 = (c - w1*x1)/w2; both coordinates positive on an open x1-interval
         a0, b0 = cval / w[1], -w[0] / w[1]
-        cs = _substitute_line(subs[idx], a0, b0)
         lo, hi = _positive_segment(w, cval)
         if lo is None:
             return SteadyStateCount(0, list)
-        if not cs:
-            mid = _segment_midpoint(lo, hi)
-            mid2 = _segment_midpoint(mid, hi)
-            return SteadyStateCount(
-                2,
-                lambda: [(mid, a0 + b0 * mid), (mid2, a0 + b0 * mid2)],
-                continuum=True,
-            )
-        count = sturm_count_integer(cs, lo, hi)
-        return SteadyStateCount(
-            int(count),
-            lambda: [
-                (r, a0 + b0 * r)
-                for r in positive_roots(UniPoly(cs))
-                if r > lo and (hi is None or r < hi)
-            ],
-            boundary=count.multiple_positive,
-        )
+        cs = _substitute_line(subs[idx], a0, b0)
+        return _count(cs, lo, hi, lambda r: (r, a0 + b0 * r))
     # w = [1, 0]: class fixes x1 = c; reduce to a univariate in x2
     if cval <= 0:
         return SteadyStateCount(0, list)
     cs = _substitute_axis(subs[idx], axis=0, value=cval)
-    if not cs:
-        return SteadyStateCount(
-            2, lambda: [(cval, Fraction(1)), (cval, Fraction(2))], continuum=True
-        )
-    count = sturm_count_integer(cs, Fraction(0), None)
-    return SteadyStateCount(
-        int(count),
-        lambda: [(cval, r) for r in positive_roots(UniPoly(cs))],
-        boundary=count.multiple_positive,
-    )
+    return _count(cs, Fraction(0), None, lambda r: (cval, r))
 
 
 def _segment_midpoint(lo: Fraction, hi: Fraction | None) -> Fraction:
-    return lo + Fraction(1) if hi is None else (lo + hi) / 2
+    return lo + 1 if hi is None else (lo + hi) / 2
 
 
 def _positive_segment(w, cval: Fraction):
@@ -308,48 +293,39 @@ def _count_full_dimensional(net: ReactionNetwork, subs) -> SteadyStateCount:
             g = UniPoly(_coefficients(subs[0], axis)).gcd(
                 UniPoly(_coefficients(subs[1], axis))
             )
-            if g.is_zero:
-                return _free_continuum(axis, lambda: Fraction(1))
-            if g.degree() >= 1 and sturm_count_positive(g) > 0:
-                return _free_continuum(axis, lambda: positive_roots(g)[0])
-            return SteadyStateCount(0, list)
+            # pin x_axis at the first common positive root; a zero g (both
+            # ODEs vanish) frees x_axis too, and _count samples it first at 1
+            common = _count(g.coeffs, Fraction(0), None, lambda r: r)
+            if not common.count:
+                return SteadyStateCount(0, list)
+            return _count(
+                (), Fraction(0), None, lambda r: _point(axis, common.witnesses[0], r)
+            )
         if not pins or not subs[pins[0]]:
             continue
         roots = isolate_positive_roots(UniPoly(_coefficients(subs[pins[0]], axis)))
         if any(a != b for a, b in roots):
             continue  # an irrational pin: try the other coordinate
         g = subs[1 - pins[0]]
-        total = 0
-        boundary = False
-        partners: list[tuple[Fraction, list[int]]] = []
+        parts = []
         for a, _ in roots:
-            q = _substitute_axis(g, axis=axis, value=a)
-            if not q:
-                return _free_continuum(axis, lambda: a)
-            cnt = sturm_count_integer(q, Fraction(0), None)
-            total += cnt
-            partners.append((a, q))
-            boundary = boundary or cnt.multiple_positive
+            part = _count(
+                _substitute_axis(g, axis=axis, value=a),
+                Fraction(0),
+                None,
+                lambda r, a=a: _point(axis, a, r),
+            )
+            if part.continuum:
+                return part
+            parts.append(part)
         return SteadyStateCount(
-            total,
-            lambda: [
-                _point(axis, a, r) for a, q in partners for r in positive_roots(UniPoly(q))
-            ],
-            boundary=boundary,
+            sum(part.count for part in parts),
+            lambda: [w for part in parts for w in part.witnesses],
+            boundary=any(part.boundary for part in parts),
         )
     raise UnsupportedFamilyError(
         "no ODE pins a coordinate to rational values; the oracle does not cover this network"
     )
-
-
-def _free_continuum(axis: int, pinned: Callable[[], Fraction]) -> SteadyStateCount:
-    """A continuum: x_axis at pinned(), the other coordinate free."""
-
-    def states():
-        r = pinned()
-        return [_point(axis, r, Fraction(1)), _point(axis, r, Fraction(2))]
-
-    return SteadyStateCount(2, states, continuum=True)
 
 
 def _point(axis: int, pinned: Fraction, free: Fraction) -> tuple[Fraction, Fraction]:

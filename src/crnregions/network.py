@@ -262,23 +262,6 @@ def rref(rows: list[list[Fraction]]) -> list[list[Fraction]]:
     return [row for row in rows if any(v != 0 for v in row)]
 
 
-def matrix_rank(rows: list[list[int]]) -> int:
-    """Rank of an integer matrix, by fraction-free (Bareiss) elimination:
-    every division is exact, so the entries stay integers."""
-    rows, rank, prev = [list(row) for row in rows], 0, 1
-    for col in range(len(rows[0]) if rows else 0):
-        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        top, p = rows[rank], rows[rank][col]
-        for r in range(rank + 1, len(rows)):
-            f = rows[r][col]
-            rows[r] = [(p * a - f * b) // prev for a, b in zip(rows[r], top)]
-        prev, rank = p, rank + 1
-    return rank
-
-
 @dataclass(frozen=True)
 class ConservationMatrix:
     """RREF basis (d x n) of the left null space of the stoichiometric matrix."""
@@ -313,4 +296,4 @@ def conservation_matrix(net: ReactionNetwork) -> ConservationMatrix:
 
 
 def is_full_dimensional(net: ReactionNetwork) -> bool:
-    return matrix_rank(stoichiometric_matrix(net)) == net.num_species
+    return conservation_matrix(net).dim == 0

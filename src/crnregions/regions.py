@@ -421,11 +421,12 @@ def region_two_species_two_reactions(net: ReactionNetwork) -> tuple[Region, Regi
     witnesses = None
     if not verdict.multistationary:
         conjuncts = ()
-    elif verdict.nondegenerate:
-        conj, witness = _nondegenerate_enabling(net, cutoff_c_star(net))
-        conjuncts, witnesses = (conj,), (witness,)
     else:
-        conjuncts = (_degenerate_conditions(net, verdict.detail),)
+        if verdict.nondegenerate:
+            conj, witness = _nondegenerate_enabling(net, cutoff_c_star(net))
+        else:
+            conj, witness = _degenerate_enabling(net, verdict.detail)
+        conjuncts, witnesses = (conj,), (witness,)
     (v1, v2), (w1, w2) = (rxn.vector() for rxn in net.reactions)
     totals = 0 if v1 * w2 != v2 * w1 else 1  # full dimensional: no conservation law
     enabling = Region(
@@ -434,14 +435,21 @@ def region_two_species_two_reactions(net: ReactionNetwork) -> tuple[Region, Regi
     return enabling, project_to_allowing(enabling)
 
 
-def _degenerate_conditions(net, detail: str) -> tuple[SignCondition, ...]:
-    """Enabling conditions of degenerate case 1-4 over (kappa, kappa_tilde, c)."""
+def _degenerate_enabling(net, detail: str):
+    """Enabling conjunct of degenerate case 1-4 over (kappa, kappa_tilde, c),
+    with a rational point of it: (gamma^a2 / lam, 1, 0) in case 1 and
+    (1, lam, 1) in cases 2-4."""
     box = build_box_diagram(net)
     kap, kapt, c = (SymPoly.symbol(3, i) for i in range(3))
     ln, ld = box.lam.numerator, box.lam.denominator
+    one = Fraction(1)
     if detail == "case 2":
-        # with y' - y = -lam (y~' - y~), steady states exist iff kappa_tilde = lam kappa
-        return (SignCondition((kapt.scale(ld) - kap.scale(ln)).normalized(), "=0"),)
+        # with y' - y = -lam (y~' - y~), steady states exist iff kappa_tilde = lam
+        # kappa; they fill the class, which is empty for c <= 0 when the
+        # conservation law has no negative weight
+        eq = SignCondition((kapt.scale(ld) - kap.scale(ln)).normalized(), "=0")
+        mixed = min(conservation_matrix(net).rows[0]) < 0
+        return ((eq,) if mixed else (SignCondition(c, ">0"), eq)), (one, box.lam, one)
     if detail == "case 1":
         u1 = box.y_prime[0] - box.y[0]
         u2 = box.y_prime[1] - box.y[1]
@@ -453,7 +461,8 @@ def _degenerate_conditions(net, detail: str) -> tuple[SignCondition, ...]:
         else:
             lhs = kap.scale(ln * u2 ** (-a2))
             rhs = kapt.scale(ld * u1 ** (-a2))
-        return (SignCondition(c, "=0"), SignCondition((lhs - rhs).normalized(), "=0"))
+        conj = (SignCondition(c, "=0"), SignCondition((lhs - rhs).normalized(), "=0"))
+        return conj, (box.gamma**a2 / box.lam, one, Fraction(0))
     # cases 3 and 4: the steady-state set is an axis-parallel line matching
     # exactly one compatibility class
     if detail == "case 3":
@@ -465,7 +474,8 @@ def _degenerate_conditions(net, detail: str) -> tuple[SignCondition, ...]:
         poly = (kap * c**e).scale(ln) - kapt.scale(ld)
     else:
         poly = (kapt * c ** (-e)).scale(ld) - kap.scale(ln)
-    return (SignCondition(c, ">0"), SignCondition(poly.normalized(), "=0"))
+    conj = (SignCondition(c, ">0"), SignCondition(poly.normalized(), "=0"))
+    return conj, (one, box.lam, one)
 
 
 def _nondegenerate_enabling(net, cut: CutoffFunction):
@@ -677,9 +687,9 @@ def project_to_allowing(region: Region) -> Region:
     enabling region built here: in the nondegenerate case the conditions on
     c are a sign and a monomial inequality in the signed c; in degenerate
     cases 3 and 4 they are c > 0 and c^e equal to a positive rational
-    function of the rates; in cases 1 and 2 they are c = 0 or absent.  A
-    region without totals is only relabelled; an allowing region is
-    returned as is.
+    function of the rates; in case 1 it is c = 0, in case 2 c > 0 or
+    nothing.  A region without totals is only relabelled; an allowing
+    region is returned as is.
     """
     if region.kind == "allowing":
         return region

@@ -1,13 +1,16 @@
-"""Exact univariate polynomial toolkit over the rationals.
+"""Exact univariate polynomial toolkit over the integers.
 
 Provides Descartes' rule of signs, Sturm-sequence root counting on
 intervals of the positive axis, Swan's closed-form discriminant for
 trinomials, and the sign trichotomy that counts positive roots of an
 alternating trinomial x^n - c*x^k + b.
 
-Root counting runs on integer Sturm chains (primitive remainder
-sequences) and root refinement on exact dyadic bisection; no floating
-point is involved.
+UniPoly holds integer coefficients.  A polynomial with rational
+coefficients enters through UniPoly.from_rationals, which scales it by the
+positive lcm of its denominators: roots, Descartes counts and Sturm counts
+are unchanged.  Root counting runs on integer Sturm chains (primitive
+remainder sequences) and root refinement on exact dyadic bisection; no
+floating point is involved.
 """
 
 from __future__ import annotations
@@ -15,31 +18,41 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Sequence
 
 
 class ZeroPolynomialError(ValueError):
     """Raised when an operation is undefined for the zero polynomial."""
 
 
-def _sign(q: Fraction) -> int:
-    if q > 0:
-        return 1
-    if q < 0:
-        return -1
-    return 0
+def _integer(c) -> int:
+    if isinstance(c, int):
+        return int(c)
+    if isinstance(c, Fraction) and c.denominator == 1:
+        return c.numerator
+    raise ValueError(
+        f"UniPoly coefficient {c!r} is not an integer; use UniPoly.from_rationals"
+    )
 
 
 class UniPoly:
-    """Dense univariate polynomial with Fraction coefficients (ascending degree)."""
+    """Dense univariate polynomial with int coefficients (ascending degree)."""
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Iterable) -> None:
-        cs = [Fraction(c) for c in coeffs]
+    def __init__(self, coeffs: Iterable[int]) -> None:
+        cs = [_integer(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
+
+    @classmethod
+    def from_rationals(cls, coeffs: Iterable) -> "UniPoly":
+        """The polynomial with rational coefficients coeffs, times the
+        positive lcm of their denominators."""
+        cs = [Fraction(c) for c in coeffs]
+        den = math.lcm(*(c.denominator for c in cs))
+        return cls(c.numerator * (den // c.denominator) for c in cs)
 
     @classmethod
     def zero(cls) -> "UniPoly":
@@ -54,13 +67,13 @@ class UniPoly:
             raise ZeroPolynomialError("degree of zero polynomial is undefined")
         return len(self.coeffs) - 1
 
-    def leading(self) -> Fraction:
+    def leading(self) -> int:
         if self.is_zero:
             raise ZeroPolynomialError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
-    def __call__(self, x) -> Fraction:
-        acc = Fraction(0)
+    def __call__(self, x):
+        acc = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
@@ -86,22 +99,16 @@ class UniPoly:
     def __sub__(self, other: "UniPoly") -> "UniPoly":
         return self + (-other)
 
-    def __mul__(self, other) -> "UniPoly":
-        if not isinstance(other, UniPoly):
-            return self.scale(other)
+    def __mul__(self, other: "UniPoly") -> "UniPoly":
         if self.is_zero or other.is_zero:
             return UniPoly.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a == 0:
                 continue
             for j, b in enumerate(other.coeffs):
                 out[i + j] += a * b
         return UniPoly(out)
-
-    def scale(self, k) -> "UniPoly":
-        k = Fraction(k)
-        return UniPoly([c * k for c in self.coeffs])
 
     def __pow__(self, n: int) -> "UniPoly":
         result = UniPoly([1])
@@ -113,54 +120,20 @@ class UniPoly:
             n >>= 1
         return result
 
-    def divmod(self, other: "UniPoly") -> tuple["UniPoly", "UniPoly"]:
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        q: list[Fraction] = []
-        rem = list(self.coeffs)
-        d = other.degree()
-        lc = other.leading()
-        for k in range(len(rem) - 1 - d, -1, -1):
-            coef = rem[k + d] / lc
-            q.append(coef)
-            if coef:
-                for j, c in enumerate(other.coeffs):
-                    rem[k + j] -= coef * c
-        q.reverse()
-        return UniPoly(q), UniPoly(rem[:d] if len(rem) > d else rem)
-
-    def __mod__(self, other: "UniPoly") -> "UniPoly":
-        return self.divmod(other)[1]
-
-    def derivative(self) -> "UniPoly":
-        return UniPoly([i * c for i, c in enumerate(self.coeffs)][1:])
-
-    def monic(self) -> "UniPoly":
-        return self.scale(1 / self.leading())
-
-    def primitive(self) -> "UniPoly":
-        """Scale by a positive rational so coefficients are coprime integers."""
-        if self.is_zero:
-            return self
-        den = math.lcm(*(c.denominator for c in self.coeffs))
-        ints = [int(c * den) for c in self.coeffs]
-        g = math.gcd(*ints)
-        return UniPoly([Fraction(c, g) for c in ints])
-
     def gcd(self, other: "UniPoly") -> "UniPoly":
-        a, b = self, other
-        while not b.is_zero:
-            a, b = b, (a % b).primitive() if not (a % b).is_zero else UniPoly.zero()
-        if a.is_zero:
-            return a
-        return a.monic()
+        """Greatest common divisor by a primitive remainder sequence: primitive
+        with a positive leading coefficient, zero when both are zero."""
+        a, b = list(self.coeffs), list(other.coeffs)
+        while b:
+            a, b = b, _neg_remainder(a, b)
+        return UniPoly(_positive_primitive(a) if a else a)
 
     def squarefree_part(self) -> "UniPoly":
         """self / gcd(self, self'), with coprime integer coefficients and a
         positive leading one."""
         if self.is_zero:
             raise ZeroPolynomialError("squarefree part of zero polynomial")
-        cs = _integer_coeffs(self)
+        cs = _primitive(list(self.coeffs))
         if len(cs) == 1:
             return UniPoly([1])
         return UniPoly(_exact_quotient(cs, _sturm_chain(cs)[-1]))
@@ -182,8 +155,7 @@ def descartes_sign_changes(p: UniPoly) -> int:
     """Sign changes in the coefficient list, zeros removed."""
     if p.is_zero:
         raise ZeroPolynomialError("Descartes' rule requires a nonzero polynomial")
-    signs = [_sign(c) for c in p.coeffs if c != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+    return _variations(p.coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -199,15 +171,15 @@ def descartes_sign_changes(p: UniPoly) -> int:
 # lie in an interval and whether p has a multiple root.
 
 
-def _integer_coeffs(p: UniPoly) -> list[int]:
-    """Coprime integer coefficients of a positive rational multiple of p."""
-    den = math.lcm(*(c.denominator for c in p.coeffs))
-    return _primitive([c.numerator * (den // c.denominator) for c in p.coeffs])
-
-
 def _primitive(cs: list[int]) -> list[int]:
     g = math.gcd(*cs)
     return cs if g == 1 else [c // g for c in cs]
+
+
+def _positive_primitive(cs: list[int]) -> list[int]:
+    """cs over its content, with a positive leading coefficient."""
+    cs = _primitive(cs)
+    return cs if cs[-1] > 0 else [-c for c in cs]
 
 
 def _neg_remainder(a: list[int], b: list[int]) -> list[int]:
@@ -306,8 +278,7 @@ def _exact_quotient(a: list[int], b: list[int]) -> list[int]:
         q[k] = c
         for j, bj in enumerate(b):
             r[k + j] -= c * bj
-    q = _primitive(q)
-    return q if q[-1] > 0 else [-c for c in q]
+    return _positive_primitive(q)
 
 
 class RootCount(int):
@@ -322,13 +293,16 @@ class RootCount(int):
         return self
 
 
-def _count_open(cs: list[int], a: Fraction, b: Fraction | None) -> RootCount:
-    """Distinct roots of cs in the open interval (a, b); b = None means +inf.
+def _count_open(p: UniPoly, a: Fraction, b: Fraction | None) -> RootCount:
+    """Distinct roots of p in the open interval (a, b); b = None means +inf.
 
     Roots at the endpoints are divided out first, so the chain is evaluated
     at two non-roots; a positive endpoint that is a multiple root still
     counts as a multiple positive root.
     """
+    if p.is_zero:
+        raise ZeroPolynomialError("Sturm count requires a nonzero polynomial")
+    cs = _primitive(list(p.coeffs))
     multiple = False
     for x in (a, b):
         if x is not None:
@@ -344,30 +318,21 @@ def _count_open(cs: list[int], a: Fraction, b: Fraction | None) -> RootCount:
     return RootCount(count, multiple)
 
 
-def sturm_count_integer(cs: list[int], a: Fraction, b: Fraction | None) -> RootCount:
-    """Distinct roots in the open interval (a, b), b = None meaning +inf, of
-    the polynomial with integer coefficients cs (ascending, nonzero last)."""
-    if not cs:
-        raise ZeroPolynomialError("Sturm count requires a nonzero polynomial")
-    return _count_open(_primitive(cs), a, b)
-
-
 def sturm_count_positive(p: UniPoly) -> RootCount:
     """Number of distinct roots in (0, inf), by one integer Sturm chain."""
-    return sturm_count_integer(_integer_coeffs(p), Fraction(0), None)
+    return _count_open(p, Fraction(0), None)
 
 
 def sturm_count_open_interval(p: UniPoly, a: Fraction, b: Fraction | None) -> RootCount:
     """Distinct roots of p in the open interval (a, b); b=None means +inf."""
     b = None if b is None else Fraction(b)
-    return sturm_count_integer(_integer_coeffs(p), Fraction(a), b)
+    return _count_open(p, Fraction(a), b)
 
 
 def root_upper_bound(p: UniPoly) -> Fraction:
     """Cauchy bound: all real roots lie in (-B, B)."""
-    lc = abs(p.leading())
-    m = max((abs(c) for c in p.coeffs[:-1]), default=Fraction(0))
-    return Fraction(1) + m / lc
+    m = max((abs(c) for c in p.coeffs[:-1]), default=0)
+    return 1 + Fraction(m, abs(p.leading()))
 
 
 def rational_roots(p: UniPoly, divisor_bound: int = 10**7) -> list[Fraction]:
@@ -378,31 +343,30 @@ def rational_roots(p: UniPoly, divisor_bound: int = 10**7) -> list[Fraction]:
     is skipped (callers fall back to isolating intervals).
     """
     q, v = p.strip_root_at_zero()
-    q = q.primitive()
+    cs = _primitive(list(q.coeffs))
     roots = [Fraction(0)] if v else []
-    if q.degree() == 0:
+    if len(cs) == 1:
         return roots
-    if q.degree() == 1:
-        roots.append(-q.coeffs[0] / q.coeffs[1])
+    if len(cs) == 2:
+        roots.append(Fraction(-cs[0], cs[1]))
         return roots
-    if q.degree() == 2:
-        c0, c1, c2 = q.coeffs
+    if len(cs) == 3:
+        c0, c1, c2 = cs
         disc = c1 * c1 - 4 * c0 * c2
         if disc < 0:
             return roots
-        s = math.isqrt(int(disc))
+        s = math.isqrt(disc)
         if s * s != disc:
             return roots
-        roots.extend({(-c1 + s) / (2 * c2), (-c1 - s) / (2 * c2)})
+        roots.extend({Fraction(-c1 + s, 2 * c2), Fraction(-c1 - s, 2 * c2)})
         return roots
-    a0 = abs(int(q.coeffs[0]))
-    an = abs(int(q.coeffs[-1]))
+    a0, an = abs(cs[0]), abs(cs[-1])
     if a0 > divisor_bound or an > divisor_bound:
         return roots
     for s in _divisors(a0):
         for t in _divisors(an):
             for cand in (Fraction(s, t), Fraction(-s, t)):
-                if q(cand) == 0 and cand not in roots:
+                if _sign_at(cs, cand.numerator, cand.denominator) == 0 and cand not in roots:
                     roots.append(cand)
     return roots
 
@@ -429,7 +393,7 @@ def isolate_positive_roots(p: UniPoly) -> list[tuple[Fraction, Fraction]]:
     q, v = p.strip_root_at_zero()
     sf = q.squarefree_part()
     rational = sorted(r for r in rational_roots(sf) if r > 0)
-    work = _integer_coeffs(sf)
+    work = list(sf.coeffs)
     for r in rational:
         work, _ = _strip_root(work, r)
     intervals: list[tuple[Fraction, Fraction]] = [(r, r) for r in rational]
@@ -473,7 +437,7 @@ def refine_root(p: UniPoly, a: Fraction, b: Fraction, rel_width: Fraction = Frac
     """
     if a == b:
         return a
-    sf = _integer_coeffs(p.squarefree_part())
+    sf = list(p.squarefree_part().coeffs)
     den = math.lcm(a.denominator, b.denominator)
     an, bn = a.numerator * (den // a.denominator), b.numerator * (den // b.denominator)
     sa = _sign_at(sf, an, den)
@@ -506,11 +470,21 @@ def positive_roots(p: UniPoly) -> list[Fraction]:
 # Resultants and Swan's trinomial discriminant
 
 
-def sylvester_matrix(f: UniPoly, g: UniPoly) -> list[list[Fraction]]:
-    m, n = f.degree(), g.degree()
+def _rationals(coeffs: Sequence) -> list[Fraction]:
+    cs = [Fraction(c) for c in coeffs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+def sylvester_matrix(f: Sequence, g: Sequence) -> list[list[Fraction]]:
+    """Sylvester matrix of two polynomials given by rational coefficients
+    (ascending degree)."""
+    f, g = _rationals(f), _rationals(g)
+    m, n = len(f) - 1, len(g) - 1
     size = m + n
-    fm = list(reversed(f.coeffs))
-    gm = list(reversed(g.coeffs))
+    fm = f[::-1]
+    gm = g[::-1]
     rows = []
     for i in range(n):
         rows.append([Fraction(0)] * i + fm + [Fraction(0)] * (size - m - 1 - i))
@@ -541,21 +515,26 @@ def _det(rows: list[list[Fraction]]) -> Fraction:
     return det
 
 
-def resultant(f: UniPoly, g: UniPoly) -> Fraction:
-    if f.is_zero or g.is_zero:
+def resultant(f: Sequence, g: Sequence) -> Fraction:
+    """Res(f, g) of two polynomials given by rational coefficients (ascending
+    degree); not invariant under scaling, so it takes no UniPoly."""
+    f, g = _rationals(f), _rationals(g)
+    if not f or not g:
         raise ZeroPolynomialError("resultant of zero polynomial")
-    if f.degree() == 0:
-        return f.coeffs[0] ** g.degree() if not g.is_zero else Fraction(0)
-    if g.degree() == 0:
-        return g.coeffs[0] ** f.degree()
+    if len(f) == 1:
+        return f[0] ** (len(g) - 1)
+    if len(g) == 1:
+        return g[0] ** (len(f) - 1)
     return _det(sylvester_matrix(f, g))
 
 
-def discriminant_via_resultant(p: UniPoly) -> Fraction:
-    """Standard discriminant (-1)^(n(n-1)/2) Res(p, p') / lc(p)."""
-    n = p.degree()
+def discriminant_via_resultant(p: Sequence) -> Fraction:
+    """Standard discriminant (-1)^(n(n-1)/2) Res(p, p') / lc(p) of the
+    polynomial with rational coefficients p (ascending degree)."""
+    p = _rationals(p)
+    n = len(p) - 1
     sign = Fraction(-1) ** (n * (n - 1) // 2)
-    return sign * resultant(p, p.derivative()) / p.leading()
+    return sign * resultant(p, [i * c for i, c in enumerate(p)][1:]) / p[-1]
 
 
 def trinomial_discriminant(n: int, k: int, a, b) -> Fraction:
@@ -598,11 +577,12 @@ class TrinomialForm:
         object.__setattr__(self, "K", self.k // d)
 
     def polynomial(self) -> UniPoly:
+        """x^n - c*x^k + b times the lcm of the denominators of b and c."""
         coeffs = [Fraction(0)] * (self.n + 1)
         coeffs[0] = self.b
         coeffs[self.k] = -self.c
         coeffs[self.n] = Fraction(1)
-        return UniPoly(coeffs)
+        return UniPoly.from_rationals(coeffs)
 
 
 def trinomial_D(t: TrinomialForm) -> Fraction:

@@ -30,7 +30,6 @@ from crnregions.regions import (
 )
 from crnregions.unipoly import (
     TrinomialForm,
-    UniPoly,
     descartes_sign_changes,
     discriminant_via_resultant,
     sturm_count_positive,
@@ -217,9 +216,7 @@ def test_criterion_5_swan_vs_resultant():
             done += 1
             coeffs = [Fraction(0)] * (n + 1)
             coeffs[0], coeffs[k], coeffs[n] = b, a, Fraction(1)
-            assert trinomial_discriminant(n, k, a, b) == discriminant_via_resultant(
-                UniPoly(coeffs)
-            )
+            assert trinomial_discriminant(n, k, a, b) == discriminant_via_resultant(coeffs)
 
 
 def test_criterion_6_connectivity_verdicts():
@@ -418,6 +415,11 @@ def test_criterion_7_classification_corpus():
                 off = (point[0], point[1] * 2, point[2])
                 res_off = count_positive_steady_states(sys_, off[:2], off[2:])
                 assert res_off.count <= 1, (case, dx, dy, off)
+                # the stored witness lies on the conjunct and is counted too
+                ((conj,), (w,)) = enabling.conjuncts, enabling.witnesses
+                assert all(cond.holds(w) for cond in conj), (case, dx, dy, w)
+                res_w = count_positive_steady_states(sys_, w[:2], w[2:])
+                assert res_w.count >= 2, (case, dx, dy, w)
                 corpus_multi += 1
         assert corpus_multi >= 30
 

@@ -395,6 +395,29 @@ class TestCountRootsCommand:
         result = runner.invoke(main, ["count-roots", "--poly", "x^2 ** y"])
         assert result.exit_code != 0
 
+    @given(
+        st.lists(st.fractions(-6, 6, max_denominator=5), min_size=1, max_size=6),
+        st.fractions(Fraction(1, 9), 9, max_denominator=9),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_invariant_under_positive_scaling(self, coeffs, k):
+        # p and k p have the same roots, signs and normalized trinomial form
+        runner = CliRunner()
+        docs = []
+        for cs in (coeffs, [k * c for c in coeffs]):
+            text = "".join(
+                f"{'-' if c < 0 else '+'}{abs(c)}x^{e}" for e, c in enumerate(cs) if c
+            )
+            result = runner.invoke(main, ["count-roots", "--poly", text or "0"])
+            if not any(coeffs):
+                assert result.exit_code == 2
+                continue
+            assert result.exit_code == 0, result.output
+            doc = json.loads(result.output)
+            assert doc.pop("poly") == text
+            docs.append(doc)
+        assert not docs or docs[0] == docs[1]
+
 
 
 _rationals = st.sampled_from(["0", "1", "-1", "2", "1/2", "3/7", "-3", "5"])

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import zip_longest
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -380,26 +381,30 @@ def _fraction_oracle(net, kappa, c):
         for xe, v in sub.items():
             e = xe[axis]
             out[e] = out.get(e, 0) + (v if value is None else v * value ** xe[1 - axis])
-        return UniPoly([out.get(e, 0) for e in range(max(out, default=-1) + 1)])
+        return [out.get(e, 0) for e in range(max(out, default=-1) + 1)]
 
     if net.num_species == 1:
-        p, lo, hi, point = collect(0), Fraction(0), None, lambda r: (r,)
+        cs, lo, hi, point = collect(0), Fraction(0), None, lambda r: (r,)
     else:
         (cval,) = c
         w = sys.cons.rows[0]
         if w[1] != 0:
-            line = UniPoly([cval / w[1], -w[0] / w[1]])
-            p = UniPoly.zero()
-            for xe, v in sub.items():
-                p = p + UniPoly([0] * xe[0] + [v]) * line ** xe[1]
+            a0, b0 = cval / w[1], -w[0] / w[1]
+            cs = []
+            for (i, j), v in sub.items():
+                term = [Fraction(0)] * i + [v]
+                for _ in range(j):  # times (a0 + b0 x1)
+                    term = [a0 * u + b0 * t for u, t in zip(term + [0], [0] + term)]
+                cs = [u + t for u, t in zip_longest(cs, term, fillvalue=0)]
             lo, hi = massaction._positive_segment(w, cval)
-            point = lambda r: (r, line(r))  # noqa: E731
+            point = lambda r: (r, a0 + b0 * r)  # noqa: E731
             if lo is None:
                 return 0, False, False, []
         else:
             if cval <= 0:
                 return 0, False, False, []
-            p, lo, hi, point = collect(1, cval), Fraction(0), None, lambda r: (cval, r)
+            cs, lo, hi, point = collect(1, cval), Fraction(0), None, lambda r: (cval, r)
+    p = UniPoly.from_rationals(cs)
     if p.is_zero:
         return None  # a continuum: its sample states are not the substitution's
     count = sturm_count_open_interval(p, lo, hi)

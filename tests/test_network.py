@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from crnregions.network import (
@@ -12,7 +12,6 @@ from crnregions.network import (
     conservation_matrix,
     format_network,
     is_full_dimensional,
-    matrix_rank,
     parse_network,
     rref,
     stoichiometric_matrix,
@@ -104,19 +103,29 @@ class TestLinearAlgebra:
         assert rref(rows) == [[Fraction(1), Fraction(2)]]
 
     def test_rank(self, running_net):
-        assert matrix_rank(stoichiometric_matrix(running_net)) == 1
+        assert running_net.num_species - conservation_matrix(running_net).dim == 1
 
     @given(
-        st.integers(1, 5).flatmap(
-            lambda cols: st.lists(
-                st.lists(st.integers(-4, 4), min_size=cols, max_size=cols),
+        st.integers(1, 3).flatmap(
+            lambda n: st.lists(
+                st.tuples(
+                    st.tuples(*[st.integers(0, 3)] * n), st.tuples(*[st.integers(0, 3)] * n)
+                ).filter(lambda r: r[0] != r[1]),
                 min_size=1,
                 max_size=5,
+                unique=True,
             )
         )
     )
-    def test_integer_rank_matches_rref(self, rows):
-        assert matrix_rank(rows) == len(rref(rows))
+    def test_dim_s_from_conservation_laws(self, pairs):
+        # parse and analyze report dim S as n minus the number of conservation laws
+        n = len(pairs[0][0])
+        assume(all(any(y[j] or yp[j] for y, yp in pairs) for j in range(n)))
+        rxns = tuple(
+            Reaction(Complex(y), Complex(yp), f"k{i}") for i, (y, yp) in enumerate(pairs)
+        )
+        net = ReactionNetwork(tuple("ABC"[:n]), rxns)
+        assert len(rref(stoichiometric_matrix(net))) == n - conservation_matrix(net).dim
 
     def test_conservation_matrix_running(self, running_net):
         W = conservation_matrix(running_net)

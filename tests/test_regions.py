@@ -1,6 +1,8 @@
+import itertools
 import json
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -8,13 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crnregions import regions
-from crnregions.classify import UnsupportedFamilyError
+from crnregions.classify import UnsupportedFamilyError, classify_two_species
 from crnregions.massaction import (
     SteadyStateCount,
     count_positive_steady_states,
     steady_state_system,
 )
-from crnregions.network import parse_network
+from crnregions.network import Complex, Reaction, ReactionNetwork, parse_network
 from crnregions.regions import (
     Region,
     SignCondition,
@@ -191,8 +193,52 @@ class TestTwoSpeciesRegions:
         ((eq,),) = enabling.conjuncts
         assert eq.rel == "=0"
         assert membership(enabling, (Fraction(1), Fraction(2), Fraction(7)))
+        # a mixed-sign law (x1 - x2 = c) meets the orthant for every c
+        assert membership(enabling, (Fraction(1), Fraction(2), Fraction(-1)))
         assert not membership(enabling, (Fraction(1), Fraction(3), Fraction(7)))
         assert membership(allowing, (Fraction(1), Fraction(2)))
+
+    def test_degenerate_case2_needs_a_nonempty_class(self):
+        # x1 + x2 = c: the steady-state continuum needs c > 0
+        net = parse_network("A + B -> 2A; k1\nA + B -> 2B; k2")
+        enabling, allowing = region_two_species_two_reactions(net)
+        sys = steady_state_system(net)
+        for c in (-1, 0):
+            assert not membership(enabling, (1, 1, c))
+            assert count_positive_steady_states(sys, (1, 1), (c,)).count == 0
+        assert membership(enabling, (1, 1, 1))
+        assert count_positive_steady_states(sys, (1, 1), (1,)).count == 2
+        assert membership(allowing, (1, 1))
+
+    def test_degenerate_witnesses_exhaustive(self):
+        # every two-species, two-reaction net with coefficients <= 3
+        cpx = list(itertools.product(range(4), repeat=2))
+        rxns = [(y, yp) for y in cpx for yp in cpx if y != yp]
+        seen = Counter()
+        for pair in itertools.combinations(rxns, 2):
+            if not all(any(y[j] or yp[j] for y, yp in pair) for j in (0, 1)):
+                continue
+            net = ReactionNetwork(
+                ("A", "B"),
+                tuple(
+                    Reaction(Complex(y), Complex(yp), f"k{i}") for i, (y, yp) in enumerate(pair)
+                ),
+            )
+            verdict = classify_two_species(net)
+            if not verdict.multistationary or verdict.nondegenerate:
+                continue
+            seen[verdict.detail] += 1
+            enabling, _ = region_two_species_two_reactions(net)
+            ((conj,), (w,)) = enabling.conjuncts, enabling.witnesses
+            assert all(cond.holds(w) for cond in conj), (pair, w)
+            sys = steady_state_system(net)
+            assert count_positive_steady_states(sys, w[:2], w[2:]).count >= 2, (pair, w)
+            if verdict.detail == "case 2":
+                # below the witness's class: inside exactly when the oracle sees states
+                low = (w[0], w[1], Fraction(-1))
+                counted = count_positive_steady_states(sys, low[:2], low[2:]).count
+                assert membership(enabling, low) == (counted >= 2), pair
+        assert seen == {"case 1": 8, "case 2": 36, "case 3": 48, "case 4": 48}
 
     def test_degenerate_case3_matches_oracle(self):
         net = parse_network("A + B -> A + 2B; k1\n2A + B -> 2A; k2")

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from crnregions.unipoly import (
     rational_roots,
     refine_root,
     resultant,
+    root_upper_bound,
     sturm_count_open_interval,
     sturm_count_positive,
     trinomial_D,
@@ -25,21 +27,35 @@ from crnregions.unipoly import (
 
 
 def poly(*coeffs):
-    return UniPoly([Fraction(c) for c in coeffs])
+    return UniPoly.from_rationals(coeffs)
 
 
 class TestArithmetic:
     def test_add_mul_degree(self):
         p = poly(1, 2)  # 1 + 2x
         q = poly(0, 0, 3)  # 3x^2
-        assert (p * q).coeffs == (Fraction(0), Fraction(0), Fraction(3), Fraction(6))
+        assert (p * q).coeffs == (0, 0, 3, 6)
         assert (p + q).degree() == 2
 
-    def test_divmod_reconstructs(self):
-        p = poly(2, 0, -3, 1)
-        d = poly(-1, 1)
-        q, r = p.divmod(d)
-        assert q * d + r == p
+    def test_rejects_non_integral_coefficients(self):
+        for bad in (Fraction(1, 2), 0.5, 2.0, "3"):
+            with pytest.raises(ValueError):
+                UniPoly([1, bad])
+        assert UniPoly([Fraction(4, 2), 3]).coeffs == (2, 3)
+
+    def test_from_rationals_scales_by_the_denominators(self):
+        assert UniPoly.from_rationals([Fraction(1, 2), Fraction(-2, 3), 0]).coeffs == (3, -4)
+        assert UniPoly.from_rationals([Fraction(-4, 6), 2]).coeffs == (-2, 6)
+        assert UniPoly.from_rationals([]).is_zero
+
+    def test_gcd_is_primitive_with_positive_leading_coefficient(self):
+        p = poly(-1, 1) ** 2 * poly(3, 1)
+        q = poly(-1, 1) * poly(-2, 1)
+        assert (p * poly(-6)).gcd(q * poly(4)) == poly(-1, 1)
+        assert poly(2, 0, -2).gcd(poly(6)) == poly(1)
+        assert poly(4, -6).gcd(UniPoly.zero()) == poly(-2, 3)
+        assert UniPoly.zero().gcd(poly(-4, 6)) == poly(-2, 3)
+        assert UniPoly.zero().gcd(UniPoly.zero()).is_zero
 
     def test_eval_horner(self):
         p = poly(2, -3, 1)  # (x-1)(x-2)
@@ -102,7 +118,7 @@ class TestRootCounting:
     )
     @settings(max_examples=150, deadline=None)
     def test_sturm_never_exceeds_descartes(self, roots_free_coeffs):
-        p = UniPoly(roots_free_coeffs + [Fraction(1)])
+        p = UniPoly.from_rationals(roots_free_coeffs + [Fraction(1)])
         assert sturm_count_positive(p) <= descartes_sign_changes(p)
 
     @given(
@@ -228,22 +244,55 @@ class TestAgainstSympy:
                 value = float(theirs.evalf(30))
                 assert abs(float(ours) - value) <= 1e-12 * max(value, 1) + 1e-15
 
+    @given(_factored_polys(), _factored_polys(), _factored_polys())
+    @settings(max_examples=150, deadline=None)
+    def test_gcd(self, p, q, common):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        p, q = p * common, q * common
+        ref = sympy.gcd(*(sympy.Poly(list(reversed(f.coeffs)), x) for f in (p, q)))
+        want = [int(c) for c in reversed(ref.all_coeffs())]
+        # sympy's gcd up to sign and content
+        unit = math.gcd(*want) * (1 if want[-1] > 0 else -1)
+        g = p.gcd(q)
+        assert g.coeffs == tuple(c // unit for c in want)
+        assert g == q.gcd(p)
+
+
+class TestExactReturnTypes:
+    """Closed forms on int coefficients must build Fractions, never floats."""
+
+    @given(_factored_polys())
+    @settings(max_examples=100, deadline=None)
+    def test_fractions_only(self, p):
+        assert type(root_upper_bound(p)) is Fraction
+        assert all(type(r) is Fraction for r in rational_roots(p))
+        for a, b in isolate_positive_roots(p):
+            assert type(a) is Fraction and type(b) is Fraction
+
+    def test_closed_forms(self):
+        assert rational_roots(poly(-1, 3)) == [Fraction(1, 3)]
+        assert sorted(rational_roots(poly(1, -3, 2))) == [Fraction(1, 2), Fraction(1)]
+        assert all(type(r) is Fraction for r in rational_roots(poly(1, -3, 2)))
+        assert root_upper_bound(poly(1, -3, 2)) == Fraction(5, 2)
+
 
 class TestResultantAndSwan:
     def test_resultant_of_coprime(self):
-        f = poly(-1, 1)
-        g = poly(-2, 1)
+        f = (-1, 1)
+        g = (-2, 1)
         assert abs(resultant(f, g)) == 1
         assert resultant(f, f) == 0
 
     def test_discriminant_quadratic(self):
         # disc(x^2 + bx + c) = b^2 - 4c
-        p = poly(3, -4, 1)
-        assert discriminant_via_resultant(p) == 16 - 12
+        assert discriminant_via_resultant((3, -4, 1)) == 16 - 12
+        # not invariant under scaling: disc(k p) = k^(2n-2) disc(p)
+        assert discriminant_via_resultant((Fraction(3, 2), -2, Fraction(1, 2))) == 1
 
     def test_swan_matches_resultant_quadratic(self):
         t = trinomial_discriminant(2, 1, Fraction(-3), Fraction(2))
-        assert t == discriminant_via_resultant(poly(2, -3, 1))
+        assert t == discriminant_via_resultant((2, -3, 1))
 
     def test_swan_matches_resultant_random(self):
         rng = random.Random(7)
@@ -256,9 +305,7 @@ class TestResultantAndSwan:
                 continue
             coeffs = [Fraction(0)] * (n + 1)
             coeffs[0], coeffs[k], coeffs[n] = b, a, Fraction(1)
-            assert trinomial_discriminant(n, k, a, b) == discriminant_via_resultant(
-                UniPoly(coeffs)
-            )
+            assert trinomial_discriminant(n, k, a, b) == discriminant_via_resultant(coeffs)
 
 
 class TestTrichotomy:
@@ -287,5 +334,5 @@ class TestTrichotomy:
                         coeffs = [Fraction(0)] * (n + 1)
                         coeffs[0], coeffs[k], coeffs[n] = b, -c, Fraction(1)
                         assert trinomial_positive_roots(t) == sturm_count_positive(
-                            UniPoly(coeffs)
+                            UniPoly.from_rationals(coeffs)
                         )

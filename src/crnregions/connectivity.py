@@ -136,16 +136,15 @@ def _conjunct_indices(region: Region, pt) -> set[int]:
     }
 
 
-def _segment_inside(region: Region, p, q, checks: int) -> bool:
-    """Check the segment from p to q (in sampling coordinates) stays inside.
+def _segment_inside(region: Region, cp, cq, live: set[int], checks: int) -> bool:
+    """Check the segment from cp to cq (sampling coordinates) stays inside
+    one of the conjuncts live, those that hold at both endpoints.
 
     The whole segment must satisfy one common conjunct: finitely many
     checkpoints could otherwise jump across a thin gap between two
     disjoint conjuncts of a union.  This is conservative — it can split
     components that overlap across conjuncts, but never falsely joins.
     """
-    cp, cq = _coords(region, p), _coords(region, q)
-    live = _conjunct_indices(region, p) & _conjunct_indices(region, q)
     for j in range(1, checks + 1):
         if not live:
             return False
@@ -213,6 +212,7 @@ def probe(region: Region, config: ProbeConfig = ProbeConfig()) -> ProbeReport:
         return ProbeReport(config.n_samples, 0, 0, (), (), 0, config)
     uf = _UnionFind(len(hits))
     coords = [_coords(region, h) for h in hits]
+    conj = [_conjunct_indices(region, h) for h in hits]
     r2 = config.link_radius**2
     edges = 0
     # pairs in (i, j) order, as over all pairs: edge_count depends on it.
@@ -228,7 +228,9 @@ def probe(region: Region, config: ProbeConfig = ProbeConfig()) -> ProbeReport:
             if ri == rj:
                 edges += 1
                 continue
-            if _segment_inside(region, hits[i], hits[j], config.segment_checks):
+            if _segment_inside(
+                region, coords[i], coords[j], conj[i] & conj[j], config.segment_checks
+            ):
                 uf.union(i, j)
                 ri = rj
                 edges += 1
@@ -239,11 +241,10 @@ def probe(region: Region, config: ProbeConfig = ProbeConfig()) -> ProbeReport:
     # conjuncts can never share a checked segment, so those pairs are
     # skipped outright.  label names each representative's component.
     reps = _component_reps(uf, len(hits))
-    conj_of = {a: _conjunct_indices(region, hits[a]) for a in reps}
     label = {a: a for a in reps}
     for a in reps:
         for b in reps:
-            if label[a] == label[b] or not (conj_of[a] & conj_of[b]):
+            if label[a] == label[b] or not (conj[a] & conj[b]):
                 continue
             if _pathable(region, hits[a], hits[b], rng, config):
                 uf.union(a, b)
@@ -284,15 +285,18 @@ def _find_path(
 ) -> list[tuple[float, ...]] | None:
     """The direct segment, else the first of up to `restarts` one-waypoint
     paths through sampled points in the box; None when none stays inside."""
-    if _segment_inside(region, p, q, checks):
+    cp, cq = _coords(region, p), _coords(region, q)
+    sp, sq = _conjunct_indices(region, p), _conjunct_indices(region, q)
+    if _segment_inside(region, cp, cq, sp & sq, checks):
         return [p, q]
     lo, hi = box
     for _ in range(restarts):
         w = _sample_point(rng, region, lo, hi)
         if not membership_float(region, w):
             continue
-        if _segment_inside(region, p, w, checks) and _segment_inside(
-            region, w, q, checks
+        cw, sw = _coords(region, w), _conjunct_indices(region, w)
+        if _segment_inside(region, cp, cw, sp & sw, checks) and _segment_inside(
+            region, cw, cq, sw & sq, checks
         ):
             return [p, w, q]
     return None

@@ -1,4 +1,8 @@
-"""Mass-action ODE construction and an independent steady-state counting oracle.
+"""Sparse integer polynomials, mass-action ODEs and a steady-state oracle.
+
+SymPoly is the one sparse multivariate type: region conditions over the rates
+and totals, and ODEs over the concentrations followed by the rates.  Its one
+exact evaluator, SymPoly.term_values, binds trailing symbols to rationals.
 
 The oracle handles networks with at most two species, reducing every case
 to exact univariate root counting:
@@ -18,8 +22,8 @@ to exact univariate root counting:
 Counts are exact and without multiplicity.  Multiple roots and steady-state
 continua are reported through flags instead of being folded into the count.
 
-The ODEs have integer coefficients, and the oracle substitutes and counts on
-Python integers: each univariate polynomial it counts is the exact one times
+The oracle substitutes and counts on Python integers: the rates go in through
+term_values, and each univariate polynomial it counts is the exact one times
 a positive integer that clears the denominators of the rates, totals or
 pinned coordinate, so its roots are unchanged.  Every count goes through
 _count: a UniPoly on those integers, Sturm-counted on an open interval,
@@ -32,7 +36,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .classify import UnsupportedFamilyError
 from .network import ConservationMatrix, ReactionNetwork, conservation_matrix
@@ -43,71 +47,167 @@ from .unipoly import (
     sturm_count_open_interval,
 )
 
-Monomial = tuple[tuple[int, ...], tuple[int, ...]]  # (x exponents, kappa exponents)
+Term = tuple[int, tuple[int, ...]]
 
 
-class ParamPoly:
-    """Sparse polynomial with integer coefficients in concentration
-    variables and rate symbols."""
+class SymPoly:
+    """Sparse polynomial with integer coefficients over a fixed symbol list."""
 
-    __slots__ = ("nx", "nk", "terms")
+    __slots__ = ("nsym", "terms", "_float_terms", "_degrees")
 
-    def __init__(self, nx: int, nk: int, terms: dict[Monomial, int] | None = None):
-        self.nx = nx
-        self.nk = nk
-        self.terms: dict[Monomial, int] = {m: c for m, c in (terms or {}).items() if c}
+    def __init__(self, nsym: int, terms: dict[tuple[int, ...], int] | None = None):
+        self.nsym = nsym
+        self.terms = {e: c for e, c in (terms or {}).items() if c != 0}
+        self._float_terms: list[tuple[float, list[tuple[int, int]]]] | None = None
+        self._degrees: list[tuple[int, int]] | None = None
+
+    @classmethod
+    def const(cls, nsym: int, c: int) -> "SymPoly":
+        return cls(nsym, {(0,) * nsym: int(c)})
+
+    @classmethod
+    def symbol(cls, nsym: int, idx: int, coeff: int = 1) -> "SymPoly":
+        e = tuple(1 if i == idx else 0 for i in range(nsym))
+        return cls(nsym, {e: int(coeff)})
+
+    @classmethod
+    def monomial(cls, nsym: int, coeff: int, exps: Sequence[int]) -> "SymPoly":
+        return cls(nsym, {tuple(exps): int(coeff)})
 
     def is_zero(self) -> bool:
         return not self.terms
 
-    def __neg__(self) -> "ParamPoly":
-        return ParamPoly(self.nx, self.nk, {m: -c for m, c in self.terms.items()})
+    def __add__(self, other: "SymPoly") -> "SymPoly":
+        out = dict(self.terms)
+        for e, c in other.terms.items():
+            out[e] = out.get(e, 0) + c
+        return SymPoly(self.nsym, out)
 
-    def substitute_rates(self, kappa: tuple[Fraction, ...]) -> dict[tuple[int, ...], int]:
-        """Collapse rate symbols at a positive rational point; keys are x
-        exponents.  The integer values are the exact ones times L^D, where L
-        is the lcm of the rates' denominators and D the largest total degree
-        in the rates: a positive factor, so the roots in x are unchanged."""
-        den = math.lcm(*(k.denominator for k in kappa))
-        scaled = [k.numerator * (den // k.denominator) for k in kappa]
-        top = max((sum(ke) for _xe, ke in self.terms), default=0)
+    def __neg__(self) -> "SymPoly":
+        return SymPoly(self.nsym, {e: -c for e, c in self.terms.items()})
+
+    def __sub__(self, other: "SymPoly") -> "SymPoly":
+        return self + (-other)
+
+    def __mul__(self, other: "SymPoly") -> "SymPoly":
         out: dict[tuple[int, ...], int] = {}
-        for (xe, ke), c in self.terms.items():
-            v = c * den ** (top - sum(ke))
-            for base, e in zip(scaled, ke):
-                if e:
-                    v *= base**e
-            out[xe] = out.get(xe, 0) + v
-        return {xe: v for xe, v in out.items() if v}
+        for ea, ca in self.terms.items():
+            for eb, cb in other.terms.items():
+                e = tuple(x + y for x, y in zip(ea, eb))
+                out[e] = out.get(e, 0) + ca * cb
+        return SymPoly(self.nsym, out)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ParamPoly)
-            and self.terms == other.terms
-            and self.nx == other.nx
-            and self.nk == other.nk
+    def __pow__(self, n: int) -> "SymPoly":
+        result = SymPoly.const(self.nsym, 1)
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            base = base * base
+            n >>= 1
+        return result
+
+    def scale(self, k: int) -> "SymPoly":
+        return SymPoly(self.nsym, {e: c * k for e, c in self.terms.items()})
+
+    def normalized(self) -> "SymPoly":
+        """Divide out the common monomial factor and integer content.
+
+        Both are strictly positive on the positive orthant, so sign
+        conditions are unchanged; this makes emitted polynomials canonical.
+        """
+        if self.is_zero():
+            return self
+        mins = [min(e[i] for e in self.terms) for i in range(self.nsym)]
+        g = math.gcd(*(abs(c) for c in self.terms.values()))
+        return SymPoly(
+            self.nsym,
+            {
+                tuple(x - m for x, m in zip(e, mins)): c // g
+                for e, c in self.terms.items()
+            },
         )
 
+    def signs(self) -> list[int]:
+        return [1 if c > 0 else -1 for c in self.terms.values()]
+
+    def term_values(
+        self, point: Sequence, first: int = 0
+    ) -> Iterator[tuple[tuple[int, ...], int]]:
+        """(exponents of the symbols before first, integer value) per term,
+        with symbols first, first + 1, ... bound to the rationals of point.
+
+        At x_i = n_i/d_i a term k x^e is valued k prod n_i^e_i d_i^(deg_i - e_i),
+        deg_i the largest exponent of x_i in this polynomial: its exact value
+        times prod d_i^deg_i, one positive integer for every term, so sums
+        keep their signs, their ratios and their roots in the free symbols.
+        """
+        degrees = self._degrees
+        if degrees is None:
+            # (i, deg_i) for each symbol that occurs
+            degrees = self._degrees = [
+                (i, deg)
+                for i in range(self.nsym)
+                if (deg := max((e[i] for e in self.terms), default=0))
+            ]
+        # (i, powers) per bound symbol i at n/d, powers[x] = n^x d^(deg - x)
+        live = []
+        for i, deg in degrees:
+            if i >= first:
+                n, d = point[i - first].as_integer_ratio()
+                p = (d, n) if deg == 1 else [n**x * d ** (deg - x) for x in range(deg + 1)]
+                live.append((i, p))
+        for e, c in self.terms.items():
+            for i, p in live:
+                c *= p[e[i]]
+            yield e[:first], c
+
+    def evaluate_float(self, point: Sequence[float]) -> float:
+        # (coefficient, nonzero exponents) per term, compiled on first use;
+        # the products and sums run in the same order as over self.terms
+        terms = self._float_terms
+        if terms is None:
+            terms = self._float_terms = [
+                (float(c), [(i, x) for i, x in enumerate(e) if x])
+                for e, c in self.terms.items()
+            ]
+        total = 0.0
+        for v, exps in terms:
+            for i, x in exps:
+                v *= point[i] ** x
+            total += v
+        return total
+
+    def sorted_terms(self) -> list[Term]:
+        return [(c, e) for e, c in sorted(self.terms.items())]
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, SymPoly) and self.terms == other.terms
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self.terms.items()))
+
     def __repr__(self) -> str:
-        return f"ParamPoly(nx={self.nx}, nk={self.nk}, {self.terms!r})"
+        return f"SymPoly({self.nsym}, {self.terms!r})"
 
 
-def ode_rhs(net: ReactionNetwork) -> list[ParamPoly]:
-    """Mass-action right-hand side, one ParamPoly per species."""
+def ode_rhs(net: ReactionNetwork) -> list[SymPoly]:
+    """Mass-action right-hand side, one SymPoly per species, over the
+    concentrations x_1..x_n followed by the rates kappa_1..kappa_r."""
     n, r = net.num_species, net.num_reactions
-    out: list[dict[Monomial, int]] = [{} for _ in range(n)]
+    out: list[dict[tuple[int, ...], int]] = [{} for _ in range(n)]
     for i, rxn in enumerate(net.reactions):
         # one rate symbol per reaction, so no two reactions share a monomial
         ke = tuple(1 if j == i else 0 for j in range(r))
         for j, delta in enumerate(rxn.vector()):
-            out[j][(rxn.reactant.coeffs, ke)] = delta
-    return [ParamPoly(n, r, terms) for terms in out]
+            out[j][rxn.reactant.coeffs + ke] = delta
+    return [SymPoly(n + r, terms) for terms in out]
 
 
 @dataclass(frozen=True)
 class SteadyStateSystem:
     network: ReactionNetwork
-    odes: tuple[ParamPoly, ...]
+    odes: tuple[SymPoly, ...]
     cons: ConservationMatrix
     total_symbols: tuple[str, ...]
 
@@ -163,6 +263,8 @@ def count_positive_steady_states(
     if n > 2:
         raise ValueError("oracle supports at most two species")
     kappa = tuple(Fraction(v) for v in kappa)
+    if len(kappa) != net.num_reactions:
+        raise ValueError(f"expected {net.num_reactions} rate constant(s), got {len(kappa)}")
     if any(v <= 0 for v in kappa):
         raise ValueError("rate constants must be positive")
     c = tuple(Fraction(v) for v in c)
@@ -171,17 +273,24 @@ def count_positive_steady_states(
             f"expected {sys.cons.dim} total-constant value(s), got {len(c)}"
         )
 
+    subs = [_substitute_rates(f, kappa, n) for f in sys.odes]
     if n == 1:
-        cs = _coefficients(sys.odes[0].substitute_rates(kappa), 0)
-        return _count(cs, Fraction(0), None, lambda r: (r,))
-
-    subs = [sys.odes[j].substitute_rates(kappa) for j in range(2)]
+        return _count(_coefficients(subs[0], 0), Fraction(0), None, lambda r: (r,))
     if sys.cons.dim == 2:
         # rank-0 stoichiometric matrix cannot happen: reactions are nonzero
         raise ValueError("two conserved quantities with two species is impossible")
     if sys.cons.dim == 1:
         return _count_on_line(sys, subs, c[0])
     return _count_full_dimensional(net, subs)
+
+
+def _substitute_rates(f: SymPoly, kappa: tuple[Fraction, ...], n: int) -> dict:
+    """f with the rates at kappa, keyed by concentration exponents: the
+    exact polynomial in x times a positive integer (SymPoly.term_values)."""
+    sub: dict[tuple[int, ...], int] = {}
+    for xe, v in f.term_values(kappa, n):
+        sub[xe] = sub.get(xe, 0) + v
+    return {xe: v for xe, v in sub.items() if v}
 
 
 def _count(

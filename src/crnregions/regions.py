@@ -20,133 +20,11 @@ from fractions import Fraction
 from typing import Sequence
 
 from .classify import UnsupportedFamilyError, build_box_diagram, classify_two_species
-from .massaction import count_positive_steady_states, ode_rhs, steady_state_system
+from .massaction import SymPoly, count_positive_steady_states, ode_rhs, steady_state_system
 from .network import ReactionNetwork, conservation_matrix, is_full_dimensional
 from .unipoly import TrinomialForm, trinomial_D
 
-# ---------------------------------------------------------------------------
-# Sparse integer polynomials over named symbols
-
-Term = tuple[int, tuple[int, ...]]
-
-
-class SymPoly:
-    """Sparse polynomial with integer coefficients over a fixed symbol list."""
-
-    __slots__ = ("nsym", "terms", "_float_terms")
-
-    def __init__(self, nsym: int, terms: dict[tuple[int, ...], int] | None = None):
-        self.nsym = nsym
-        self.terms = {e: c for e, c in (terms or {}).items() if c != 0}
-        self._float_terms: list[tuple[float, list[tuple[int, int]]]] | None = None
-
-    @classmethod
-    def const(cls, nsym: int, c: int) -> "SymPoly":
-        return cls(nsym, {(0,) * nsym: int(c)})
-
-    @classmethod
-    def symbol(cls, nsym: int, idx: int, coeff: int = 1) -> "SymPoly":
-        e = tuple(1 if i == idx else 0 for i in range(nsym))
-        return cls(nsym, {e: int(coeff)})
-
-    @classmethod
-    def monomial(cls, nsym: int, coeff: int, exps: Sequence[int]) -> "SymPoly":
-        return cls(nsym, {tuple(exps): int(coeff)})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "SymPoly") -> "SymPoly":
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, 0) + c
-        return SymPoly(self.nsym, out)
-
-    def __neg__(self) -> "SymPoly":
-        return SymPoly(self.nsym, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other: "SymPoly") -> "SymPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "SymPoly") -> "SymPoly":
-        out: dict[tuple[int, ...], int] = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                out[e] = out.get(e, 0) + ca * cb
-        return SymPoly(self.nsym, out)
-
-    def __pow__(self, n: int) -> "SymPoly":
-        result = SymPoly.const(self.nsym, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def scale(self, k: int) -> "SymPoly":
-        return SymPoly(self.nsym, {e: c * k for e, c in self.terms.items()})
-
-    def normalized(self) -> "SymPoly":
-        """Divide out the common monomial factor and integer content.
-
-        Both are strictly positive on the positive orthant, so sign
-        conditions are unchanged; this makes emitted polynomials canonical.
-        """
-        if self.is_zero():
-            return self
-        mins = [min(e[i] for e in self.terms) for i in range(self.nsym)]
-        g = math.gcd(*(abs(c) for c in self.terms.values()))
-        return SymPoly(
-            self.nsym,
-            {
-                tuple(x - m for x, m in zip(e, mins)): c // g
-                for e, c in self.terms.items()
-            },
-        )
-
-    def signs(self) -> list[int]:
-        return [1 if c > 0 else -1 for c in self.terms.values()]
-
-    def evaluate(self, point: Sequence) -> Fraction:
-        total = Fraction(0)
-        for e, c in self.terms.items():
-            v = Fraction(c)
-            for base, exp in zip(point, e):
-                if exp:
-                    v *= Fraction(base) ** exp
-            total += v
-        return total
-
-    def evaluate_float(self, point: Sequence[float]) -> float:
-        # (coefficient, nonzero exponents) per term, compiled on first use;
-        # the products and sums run in the same order as over self.terms
-        terms = self._float_terms
-        if terms is None:
-            terms = self._float_terms = [
-                (float(c), [(i, x) for i, x in enumerate(e) if x])
-                for e, c in self.terms.items()
-            ]
-        total = 0.0
-        for v, exps in terms:
-            for i, x in exps:
-                v *= point[i] ** x
-            total += v
-        return total
-
-    def sorted_terms(self) -> list[Term]:
-        return [(c, e) for e, c in sorted(self.terms.items())]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, SymPoly) and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
-
-    def __repr__(self) -> str:
-        return f"SymPoly({self.nsym}, {self.terms!r})"
+_SIGNS = {"<0": -1, "=0": 0, ">0": 1}
 
 
 @dataclass(frozen=True)
@@ -161,12 +39,9 @@ class SignCondition:
             raise ValueError("sign condition on the zero polynomial")
 
     def holds(self, point: Sequence) -> bool:
-        v = self.poly.evaluate(point)
-        if self.rel == "<0":
-            return v < 0
-        if self.rel == ">0":
-            return v > 0
-        return v == 0
+        """Exact test at a point of rationals (Fraction or int)."""
+        v = sum(t for _, t in self.poly.term_values(point))
+        return (v > 0) - (v < 0) == _SIGNS[self.rel]
 
     def holds_float(self, point: Sequence[float]) -> bool:
         v = self.poly.evaluate_float(point)
@@ -336,10 +211,9 @@ def _pattern_witness(net, exps, pattern, n, k, N, K):
         # shift this rate so the group total lands at want * 1
         rest = total - s * kappa[i]
         kappa[i] = (Fraction(want) - rest) / s
-    forms = one_species_coefficient_forms(net)
 
     def coeff(e) -> Fraction:
-        return forms[e].evaluate(kappa)
+        return sum(s * kappa[i] for i, s in groups[e])
 
     middle_idx, middle_step = next(
         (i, s)
@@ -568,34 +442,30 @@ def region_acr_reduction(net: ReactionNetwork) -> Region:
     for axis in (0, 1):
         other_axis = 1 - axis
         f = odes[axis]
-        if f.is_zero():
+        # ODE keys: x exponents e[:2], then rate exponents e[2:]
+        if any(e[other_axis] for e in f.terms):
             continue
-        if any(xe[other_axis] != 0 for (xe, _ke) in f.terms):
-            continue
-        terms = sorted(f.terms.items(), key=lambda t: t[0][0][axis])
+        terms = sorted(f.terms.items(), key=lambda t: t[0][axis])
         if len(terms) != 2:
             continue
-        (xe_lo, ke_lo), c_lo = terms[0]
-        (xe_hi, ke_hi), c_hi = terms[1]
-        if xe_hi[axis] - xe_lo[axis] != 1:
+        (e_lo, c_lo), (e_hi, c_hi) = terms
+        if e_hi[axis] - e_lo[axis] != 1:
             continue
         if c_lo <= 0 or c_hi >= 0:
             continue
-        # x_axis* = (c_lo/(-c_hi)) * kappa^(ke_lo - ke_hi), a monomial
+        # x_axis* = (c_lo/(-c_hi)) * kappa^(e_lo[2:] - e_hi[2:]), a monomial
         star_coeff = Fraction(c_lo, -c_hi)
-        star_exps = tuple(a - b for a, b in zip(ke_lo, ke_hi))
+        star_exps = tuple(a - b for a, b in zip(e_lo[2:], e_hi[2:]))
         g = odes[other_axis]
-        if g.is_zero():
-            continue
         reduced: dict[int, tuple[Fraction, tuple[int, ...]]] = {}
         ok = True
-        for (xe, ke), coeff in g.terms.items():
-            e_star = xe[axis]
+        for e, coeff in g.terms.items():
+            e_star = e[axis]
             mono_coeff = coeff * star_coeff**e_star
             mono_exps = tuple(
-                k + e_star * se for k, se in zip(ke, star_exps)
+                k + e_star * se for k, se in zip(e[2:], star_exps)
             )
-            key = xe[other_axis]
+            key = e[other_axis]
             if key in reduced:
                 prev_c, prev_e = reduced[key]
                 if prev_e != mono_exps:
@@ -729,11 +599,13 @@ def connectivity_verdict(region: Region) -> ConnectivityVerdict:
     if region.is_empty:
         return ConnectivityVerdict("Connected", "EmptyRegion")
     tag = region.case_tag
+    # Feliu-Telek is stated on the positive orthant: totals may be negative
+    orthant = region.totals == 0
     if len(region.conjuncts) == 1:
         conj = region.conjuncts[0]
         if len(conj) == 0:
             return ConnectivityVerdict("Connected", "FullPositiveOrthant")
-        if len(conj) == 1 and _one_negative_coefficient(conj[0]):
+        if len(conj) == 1 and orthant and _one_negative_coefficient(conj[0]):
             return ConnectivityVerdict("Connected", "FeliuTelek_one_negative")
         if tag.startswith("two_species"):
             return ConnectivityVerdict(
@@ -743,7 +615,7 @@ def connectivity_verdict(region: Region) -> ConnectivityVerdict:
             return ConnectivityVerdict(
                 "Connected", "PaperTheorem(one_species_up_to_three_reactions)"
             )
-        if tag == "acr_reduction" and _one_negative_coefficient(conj[-1]):
+        if tag == "acr_reduction" and orthant and _one_negative_coefficient(conj[-1]):
             return ConnectivityVerdict("Connected", "FeliuTelek_one_negative")
         return ConnectivityVerdict("Unknown", "ProbeOnly")
     # multiple conjuncts: disconnected when they sit in disjoint sign orthants
@@ -792,28 +664,14 @@ def oracle_sweep(
     disagrees when it is inside the region and the oracle counts fewer than
     two positive steady states there, or the reverse.
 
-    One pass over each condition on integers decides both the boundary rule
-    and membership: at x_i = n_i/d_i, a term k x^e is evaluated as
-    k prod n_i^e_i d_i^(deg_i - e_i), deg_i the largest exponent of x_i in
-    the region, which is its value times one positive integer per point.
+    One pass of SymPoly.term_values over each condition decides both the
+    boundary rule and membership: its integer terms are the exact ones times
+    one positive integer, which changes neither the signs nor the ratio.
     """
     sys_ = steady_state_system(net)
     rng = random.Random(seed)
     dim = len(enabling.ambient)
     n = dim - enabling.totals
-    terms = [e for conj in enabling.conjuncts for cond in conj for e in cond.poly.terms]
-    deg = [max((e[i] for e in terms), default=0) for i in range(dim)]
-    live = [i for i in range(dim) if deg[i]]
-    # each condition as its sign and its terms (k, [(j, e) per live coordinate j])
-    sign = {"<0": -1, "=0": 0, ">0": 1}
-    conjuncts = [
-        [
-            (sign[cond.rel], [(k, list(enumerate(e[i] for i in live)))
-                              for e, k in cond.poly.terms.items()])
-            for cond in conj
-        ]
-        for conj in enabling.conjuncts
-    ]
     span = 6 * math.log(2)
     bad = []
     done = 0
@@ -823,36 +681,26 @@ def oracle_sweep(
             mag = math.exp(rng.uniform(-span, span))
             if i >= n and rng.random() < 0.5:
                 mag = -mag
-            pt.append(_limit_denominator(mag, 10**9))
-        # powers[j][e] = n^e d^(deg - e) for live coordinate j at n/d
-        powers = [
-            [pt[i][0] ** e * pt[i][1] ** (deg[i] - e) for e in range(deg[i] + 1)]
-            for i in live
-        ]
+            pt.append(Fraction(*_limit_denominator(mag, 10**9)))
         inside = near = False
-        for conj in conjuncts:
+        for conj in enabling.conjuncts:
             holds = True
-            for want, cond_terms in conj:
-                val = scale = 0
-                for t, exps in cond_terms:
-                    for j, e in exps:
-                        t *= powers[j][e]
-                    val += t
-                    scale += abs(t)
-                if 10**6 * abs(val) < scale:
+            for cond in conj:
+                vals = [v for _, v in cond.poly.term_values(pt)]
+                val = sum(vals)
+                if 10**6 * abs(val) < sum(map(abs, vals)):
                     near = True
                     break
-                holds = holds and (val > 0) - (val < 0) == want
+                holds = holds and (val > 0) - (val < 0) == _SIGNS[cond.rel]
             if near:
                 break
             inside = inside or holds
         if near:
             continue
         done += 1
-        point = tuple(Fraction(num, den) for num, den in pt)
-        result = count_positive_steady_states(sys_, point[:n], point[n:])
+        result = count_positive_steady_states(sys_, pt[:n], pt[n:])
         if inside != (result.count >= 2):
-            bad.append(point)
+            bad.append(tuple(pt))
     return bad
 
 

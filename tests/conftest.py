@@ -1,3 +1,4 @@
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,22 @@ EQ19 = NETS / "eq19.crn"
 
 def load(path: Path):
     return parse_network(path.read_text())
+
+
+def exact_terms(poly, point, first=0):
+    """Reference for SymPoly.term_values: (exponents of the symbols before
+    first, exact value) per term, with symbols first, first + 1, ... bound
+    to point and every value computed on Fractions."""
+    for e, c in poly.terms.items():
+        v = Fraction(c)
+        for base, x in zip(point, e[first:]):
+            v *= Fraction(base) ** x
+        yield e[:first], v
+
+
+def exact_value(poly, point) -> Fraction:
+    """The exact value of poly at point, term by term on Fractions."""
+    return sum((v for _, v in exact_terms(poly, point)), Fraction(0))
 
 
 @pytest.fixture

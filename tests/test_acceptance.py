@@ -37,7 +37,7 @@ from crnregions.unipoly import (
     trinomial_positive_roots,
 )
 
-from conftest import GOLDEN, NETS, load
+from conftest import GOLDEN, NETS, exact_value, load
 
 TABLE_NETS = (
     "running",
@@ -297,8 +297,8 @@ def _solve_degenerate_point(enabling):
         elif cond.rel == "=0":
             eq = cond
     assert eq is not None
-    a = eq.poly.evaluate((Fraction(1), Fraction(0), c0))
-    b = eq.poly.evaluate((Fraction(1), Fraction(1), c0)) - a
+    a = exact_value(eq.poly, (Fraction(1), Fraction(0), c0))
+    b = exact_value(eq.poly, (Fraction(1), Fraction(1), c0)) - a
     kt = -a / b
     assert kt > 0
     point = (Fraction(1), kt, c0)
@@ -370,7 +370,7 @@ def test_criterion_7_classification_corpus():
                 # both cap Descartes' bound at 1 for every positive kappa.
                 if len(forms) == 3:
                     signs = tuple(
-                        1 if forms[e].evaluate((1, 1, 1)) > 0 else -1
+                        1 if exact_value(forms[e], (1, 1, 1)) > 0 else -1
                         for e in sorted(forms)
                     )
                     # three exponents over three reactions: one term each,

@@ -19,8 +19,9 @@ from crnregions.unipoly import UniPoly, positive_roots, sturm_count_open_interva
 class TestOdeRhs:
     def test_running_example_rhs(self, running_net):
         f = ode_rhs(running_net)
+        n = running_net.num_species
         # dx1/dt = k1 x1^2 x2 - k2 x1, dx2/dt = -k1 x1^2 x2 + k2 x1
-        assert f[0].terms == {
+        assert {(e[:n], e[n:]): c for e, c in f[0].terms.items()} == {
             ((2, 1), (1, 0)): Fraction(1),
             ((1, 0), (0, 1)): Fraction(-1),
         }
@@ -28,9 +29,10 @@ class TestOdeRhs:
 
     def test_rate_symbols_one_per_reaction(self, acr_net):
         f = ode_rhs(acr_net)
+        n = acr_net.num_species
         for p in f:
-            for (_, ke) in p.terms:
-                assert sum(ke) == 1
+            for e in p.terms:
+                assert sum(e[n:]) == 1
 
 
 class TestSteadyStateSystem:
@@ -168,6 +170,12 @@ class TestOracle2D:
         with pytest.raises(ValueError):
             count_positive_steady_states(sys, (1, 1))
 
+    @pytest.mark.parametrize("kappa", [(1,), (1, 1, 1)])
+    def test_rejects_wrong_kappa_length(self, running_net, kappa):
+        sys = steady_state_system(running_net)
+        with pytest.raises(ValueError, match="rate constant"):
+            count_positive_steady_states(sys, kappa, (Fraction(5, 2),))
+
 
 
 REORDERED_ACR = "2B -> 3B; k3\nA -> A + B; k1\nA + B -> A; k2\nA -> 2A; k5\n2A -> A; k6"
@@ -293,15 +301,16 @@ class TestOracleAgainstSympy:
         x = sympy.symbols("x1 x2")
         rates = [sympy.Rational(k.numerator, k.denominator) for k in kappa]
         odes = []
+        n = net.num_species
         for f in ode_rhs(net):
             # without its monomial factor, an ODE has no solution branch on an axis
-            low = [min(xe[i] for xe, _ in f.terms) for i in (0, 1)]
+            low = [min(e[i] for e in f.terms) for i in (0, 1)]
             odes.append(
                 sum(
                     sympy.Rational(c.numerator, c.denominator)
-                    * x[0] ** (xe[0] - low[0]) * x[1] ** (xe[1] - low[1])
-                    * sympy.Mul(*(r**e for r, e in zip(rates, ke)))
-                    for (xe, ke), c in f.terms.items()
+                    * x[0] ** (e[0] - low[0]) * x[1] ** (e[1] - low[1])
+                    * sympy.Mul(*(r**k for r, k in zip(rates, e[n:])))
+                    for e, c in f.terms.items()
                 )
             )
         positive, continuum = [], False
@@ -365,10 +374,12 @@ def _fraction_oracle(net, kappa, c):
     """(count, boundary, continuum, steady states) from the oracle's
     substitution as it ran on Fractions before the integer one."""
     sys = steady_state_system(net)
+    n = net.num_species
     subs = []
     for f in sys.odes:
         sub = {}
-        for (xe, ke), coeff in f.terms.items():
+        for key, coeff in f.terms.items():
+            xe, ke = key[:n], key[n:]
             v = Fraction(coeff)
             for k, e in zip(kappa, ke):
                 v *= k**e

@@ -36,7 +36,7 @@ from crnregions.regions import (
     regions_for_network,
 )
 
-from conftest import NETS
+from conftest import NETS, exact_terms
 
 
 # the one-species net with a rate label that starts with "c", and the
@@ -58,9 +58,37 @@ class TestSymPoly:
         q = p.normalized()
         assert q.terms == {(2, 0): 2, (0, 0): -3}
 
-    def test_evaluate_exact(self):
+    def test_term_values_exact(self):
         p = SymPoly(2, {(2, 0): 1, (0, 1): -4})
-        assert p.evaluate((Fraction(3), Fraction(2))) == 1
+        assert list(p.term_values((Fraction(3), Fraction(2)))) == [((), 9), ((), -8)]
+        # at (3/2, 2/3) the terms 9/4 and -8/3 come times 2^2 * 3^1
+        half = (Fraction(3, 2), Fraction(2, 3))
+        assert list(p.term_values(half)) == [((), 27), ((), -32)]
+        # x2 = 2/3 alone: 1 * 3 and -4 * 2, keyed by the exponent of x1
+        assert list(p.term_values(half[1:], 1)) == [((2,), 3), ((0,), -8)]
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_term_values_against_fraction_reference(self, data):
+        nsym = data.draw(st.integers(0, 4))
+        exps = st.tuples(*[st.integers(0, 3)] * nsym)
+        poly = SymPoly(
+            nsym, data.draw(st.dictionaries(exps, st.integers(-50, 50), max_size=6))
+        )
+        first = data.draw(st.integers(0, nsym))
+        coords = st.one_of(
+            st.just(Fraction(0)), st.fractions(-9, 9, max_denominator=12)
+        )
+        point = data.draw(
+            st.lists(coords, min_size=nsym - first, max_size=nsym - first)
+        )
+        scale = math.prod(
+            v.denominator ** max((e[first + j] for e in poly.terms), default=0)
+            for j, v in enumerate(point)
+        )
+        got = list(poly.term_values(point, first))
+        assert all(type(v) is int for _, v in got)
+        assert got == [(e, v * scale) for e, v in exact_terms(poly, point, first)]
 
     def test_evaluate_float_matches_term_loop(self):
         # the compiled terms multiply and add in the order of this loop
@@ -375,6 +403,19 @@ class TestConnectivity:
         assert len(v.witnesses) == 2
         for w in v.witnesses:
             assert membership(allowing, w)
+
+    @pytest.mark.parametrize("tag, extra", [("hand_built", 0), ("acr_reduction", 1)])
+    def test_one_negative_rule_needs_the_positive_orthant(self, tag, extra):
+        # k1 c - k2 < 0 has one negative coefficient, but c may be negative
+        k1, k2, c = (SymPoly.symbol(3, i) for i in range(3))
+        cond = SignCondition(k1 * c - k2, "<0")
+        conj = (SignCondition(k1, ">0"),) * extra + (cond,)
+        ambient = ("k1", "k2", "c")
+        for totals in (0, 1):
+            region = Region("enabling", ambient, (conj,), tag, totals=totals)
+            v = connectivity_verdict(region)
+            assert (v.justification == "FeliuTelek_one_negative") == (totals == 0)
+            assert totals == 0 or v.value == "Unknown"
 
     def test_empty_region_connected(self):
         net = parse_network("0 -> A; k1\nA -> 0; k2")

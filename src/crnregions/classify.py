@@ -1,10 +1,14 @@
-"""Combinatorial multistationarity classification for the two covered families:
+"""Combinatorial multistationarity classification for the covered families:
 
-* one species, up to three reactions (reactant-sorted sign patterns);
-* two species, exactly two reactions (box diagram / zigzag analysis).
+* one species whose net ODE has at most three distinct exponents: which
+  alternating sign patterns the trinomial's coefficients can take at
+  positive rates (exponent_groups, feasible_patterns);
+* two species, exactly two reactions: the box diagram and its zigzag or
+  degenerate case (build_box_diagram, classify_box).
 
 Networks outside these families get an explicit "unsupported family"
-verdict instead of a guess.
+verdict instead of a guess.  The region builders read the same functions,
+and every region carries its family and verdict as a Case.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ class UnsupportedFamilyError(ValueError):
 class MatchedCase(Enum):
     ONE_SPECIES_A = "OneSpecies_a"  # pattern (+,-,+)
     ONE_SPECIES_B = "OneSpecies_b"  # pattern (-,+,-)
+    ONE_SPECIES_AB = "OneSpecies_ab"  # both patterns
     TWO_SPECIES_ZIGZAG = "TwoSpecies_zigzag"
     DEGENERATE = "Degenerate_case"
     NOT_MULTI = "NotMulti"
@@ -30,59 +35,99 @@ class MatchedCase(Enum):
 
 @dataclass(frozen=True)
 class ClassificationVerdict:
+    """number is the zigzag form or the degenerate case, 1-4; reason says
+    why a net is not multistationary."""
+
     multistationary: bool
     nondegenerate: bool
     matched_case: MatchedCase
-    detail: str = ""
+    reason: str = ""
+    number: int | None = None
 
     def __post_init__(self) -> None:
         if self.nondegenerate and not self.multistationary:
             raise ValueError("nondegenerate implies multistationary")
 
+    @property
+    def detail(self) -> str:
+        kind = _NUMBERED.get(self.matched_case)
+        return f"{kind} {self.number}" if kind else self.reason
+
+
+_NUMBERED = {MatchedCase.TWO_SPECIES_ZIGZAG: "form", MatchedCase.DEGENERATE: "case"}
+
+
+class Family(Enum):
+    ONE_SPECIES = "one_species_net_trinomial"
+    TWO_SPECIES = "two_species"
+    ACR_REDUCTION = "acr_reduction"
+
 
 @dataclass(frozen=True)
-class OneSpeciesProfile:
-    """Reactions of a one-species network sorted by reactant coefficient."""
+class Case:
+    """The family a region was built for, and the network's classification
+    where the family has one."""
 
-    pairs: tuple[tuple[int, int], ...]  # (m_i, p_i), m_1 <= ... <= m_r
+    family: Family
+    verdict: ClassificationVerdict | None = None
 
-    @classmethod
-    def from_network(cls, net: ReactionNetwork) -> "OneSpeciesProfile":
-        if net.num_species != 1:
-            raise UnsupportedFamilyError("profile requires exactly one species")
-        pairs = sorted(
-            (r.reactant.coeffs[0], r.product.coeffs[0]) for r in net.reactions
-        )
-        return cls(tuple(pairs))
+    def __str__(self) -> str:
+        if self.family is Family.TWO_SPECIES:
+            v = self.verdict
+            return f"two_species_{v.matched_case.value}_{v.detail}".replace(" ", "_")
+        return self.family.value
 
 
-def classify_one_species(net: ReactionNetwork) -> ClassificationVerdict:
-    """Apply the one-species, up-to-three-reaction classification."""
+# ---------------------------------------------------------------------------
+# One species: x' = sum_i kappa_i (p_i - m_i) x^m_i
+
+
+PATTERNS = ((1, -1, 1), (-1, 1, -1))
+_PATTERN_CASES = {
+    PATTERNS: MatchedCase.ONE_SPECIES_AB,
+    PATTERNS[:1]: MatchedCase.ONE_SPECIES_A,
+    PATTERNS[1:]: MatchedCase.ONE_SPECIES_B,
+}
+
+
+def exponent_groups(net: ReactionNetwork) -> dict[int, list[tuple[int, int]]]:
+    """{m: [(reaction index, p - m)]} in increasing m: the reactions that
+    feed the coefficient of x^m in the net ODE, each with its step."""
     if net.num_species != 1:
-        raise UnsupportedFamilyError("expected exactly one species")
-    r = net.num_reactions
-    if r > 3:
-        raise UnsupportedFamilyError(
-            "one-species classification covers at most three reactions"
-        )
-    if r <= 2:
-        return ClassificationVerdict(
-            False, False, MatchedCase.NOT_MULTI, f"r={r} <= 2"
-        )
-    prof = OneSpeciesProfile.from_network(net)
-    (m1, p1), (m2, p2), (m3, p3) = prof.pairs
-    if not (m1 < m2 < m3):
-        return ClassificationVerdict(
-            False, False, MatchedCase.NOT_MULTI, "reactant coefficients not distinct"
-        )
-    signs = tuple(1 if p > m else -1 for m, p in prof.pairs)
-    if signs == (1, -1, 1):
-        return ClassificationVerdict(True, True, MatchedCase.ONE_SPECIES_A)
-    if signs == (-1, 1, -1):
-        return ClassificationVerdict(True, True, MatchedCase.ONE_SPECIES_B)
-    return ClassificationVerdict(
-        False, False, MatchedCase.NOT_MULTI, f"sign pattern {signs} not alternating"
+        raise UnsupportedFamilyError("requires one species")
+    groups: dict[int, list[tuple[int, int]]] = {}
+    for i, rxn in enumerate(net.reactions):
+        m = rxn.reactant.coeffs[0]
+        groups.setdefault(m, []).append((i, rxn.product.coeffs[0] - m))
+    if len(groups) > 3:
+        raise UnsupportedFamilyError("net ODE has more than 3 distinct exponents")
+    return dict(sorted(groups.items()))
+
+
+def feasible_patterns(groups: dict[int, list[tuple[int, int]]]) -> tuple:
+    """The alternating sign patterns the three coefficients take at some
+    positive rates.  The groups share no rate, so a pattern is feasible when
+    every group has a reaction whose step has the wanted sign."""
+    steps = list(groups.values())
+    return tuple(
+        pattern for pattern in PATTERNS if len(steps) == 3
+        and all(any(s * want > 0 for _, s in g) for g, want in zip(steps, pattern))
     )
+
+
+def one_species_verdict(patterns: tuple) -> ClassificationVerdict:
+    """Multistationary, and nondegenerately so, exactly when some pattern is
+    feasible: fixing the outer coefficients, a large enough middle one makes
+    the trinomial's discriminant quantity D negative (two positive roots)."""
+    if not patterns:
+        return ClassificationVerdict(
+            False, False, MatchedCase.NOT_MULTI, "no feasible alternating sign pattern"
+        )
+    return ClassificationVerdict(True, True, _PATTERN_CASES[patterns])
+
+
+# ---------------------------------------------------------------------------
+# Two species, two reactions
 
 
 @dataclass(frozen=True)
@@ -103,6 +148,10 @@ class BoxDiagram:
     alpha: Fraction | None
     lam: Fraction | None
     zigzag_form: int | None
+
+    @property
+    def nondegenerate(self) -> bool:
+        return self.zigzag_form is not None and self.alpha != -1
 
 
 def _antiparallel_ratio(v: tuple[int, int], w: tuple[int, int]) -> Fraction | None:
@@ -130,16 +179,8 @@ def build_box_diagram(net: ReactionNetwork) -> BoxDiagram:
     )
     lam = _antiparallel_ratio(v, r2.vector())
     zigzag = None
-    box_defined = yt[0] != y[0] and yt[1] != y[1]
-    if (
-        lam is not None
-        and box_defined
-        and gamma is not None
-        and gamma != 0
-        and alpha is not None
-        and alpha != 0
-        and (gamma > 0) != (alpha > 0)
-    ):
+    # a nonzero alpha means a box with sides on both axes
+    if lam is not None and gamma and alpha and (gamma > 0) != (alpha > 0):
         # reactant with the smaller first coordinate determines orientation
         low_vec = v if y[0] < yt[0] else tuple(-a for a in v)  # scaled by lam > 0
         if alpha < 0:
@@ -149,38 +190,27 @@ def build_box_diagram(net: ReactionNetwork) -> BoxDiagram:
     return BoxDiagram(y, yp, yt, ytp, gamma, alpha, lam, zigzag)
 
 
-def classify_two_species(net: ReactionNetwork) -> ClassificationVerdict:
-    """Apply the two-species, two-reaction classification."""
-    if net.num_species != 2 or net.num_reactions != 2:
-        raise UnsupportedFamilyError("expected 2 species and 2 reactions")
-    box = build_box_diagram(net)
+def classify_box(box: BoxDiagram) -> ClassificationVerdict:
+    """The two-species, two-reaction classification of a box diagram."""
     if box.lam is None:
         return ClassificationVerdict(
             False, False, MatchedCase.NOT_MULTI, "reaction vectors not antiparallel"
         )
-    if box.zigzag_form is not None and box.alpha != -1:
+    if box.nondegenerate:
         return ClassificationVerdict(
-            True,
-            True,
-            MatchedCase.TWO_SPECIES_ZIGZAG,
-            f"form {box.zigzag_form}",
+            True, True, MatchedCase.TWO_SPECIES_ZIGZAG, number=box.zigzag_form
         )
     # degenerate cases (antiparallel established)
     y, yp = box.y, box.y_prime
     yt = box.y_tilde
     if y == yt:
-        return ClassificationVerdict(True, False, MatchedCase.DEGENERATE, "case 2")
-    if (
-        box.alpha == -1
-        and box.gamma is not None
-        and box.gamma != 0
-        and (box.gamma > 0) != (box.alpha > 0)
-    ):
-        return ClassificationVerdict(True, False, MatchedCase.DEGENERATE, "case 1")
+        return ClassificationVerdict(True, False, MatchedCase.DEGENERATE, number=2)
+    if box.alpha == -1 and box.gamma is not None and box.gamma > 0:
+        return ClassificationVerdict(True, False, MatchedCase.DEGENERATE, number=1)
     if yp[0] - y[0] == 0 and yt[1] - y[1] == 0:
-        return ClassificationVerdict(True, False, MatchedCase.DEGENERATE, "case 3")
+        return ClassificationVerdict(True, False, MatchedCase.DEGENERATE, number=3)
     if yt[0] - y[0] == 0 and yp[1] - y[1] == 0:
-        return ClassificationVerdict(True, False, MatchedCase.DEGENERATE, "case 4")
+        return ClassificationVerdict(True, False, MatchedCase.DEGENERATE, number=4)
     return ClassificationVerdict(
         False, False, MatchedCase.NOT_MULTI, "antiparallel but no zigzag or degenerate case"
     )
@@ -188,10 +218,10 @@ def classify_two_species(net: ReactionNetwork) -> ClassificationVerdict:
 
 def classify(net: ReactionNetwork) -> ClassificationVerdict:
     """Dispatch to the covered family, or raise UnsupportedFamilyError."""
-    if net.num_species == 1 and net.num_reactions <= 3:
-        return classify_one_species(net)
+    if net.num_species == 1:
+        return one_species_verdict(feasible_patterns(exponent_groups(net)))
     if net.num_species == 2 and net.num_reactions == 2:
-        return classify_two_species(net)
+        return classify_box(build_box_diagram(net))
     raise UnsupportedFamilyError(
         f"no classification for {net.num_species} species, "
         f"{net.num_reactions} reactions"

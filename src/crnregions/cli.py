@@ -18,7 +18,7 @@ from typing import NoReturn
 import click
 
 from . import __version__
-from .classify import UnsupportedFamilyError, classify
+from .classify import UnsupportedFamilyError
 from .connectivity import ProbeConfig, probe
 from .massaction import count_positive_steady_states, steady_state_system
 from .network import (
@@ -140,10 +140,8 @@ def _parse_text(p: dict):
     )
 
 
-def _classification_payload(net):
-    try:
-        verdict = classify(net)
-    except UnsupportedFamilyError:
+def _classification_payload(verdict):
+    if verdict is None:
         return None
     return {
         "multistationary": verdict.multistationary,
@@ -178,7 +176,7 @@ def cmd_analyze(file: str, fmt: str, seed: int, samples: int, no_verify: bool) -
             "dim_S": net.num_species - cons.dim,
             "n_conservation_laws": cons.dim,
         },
-        "classification": _classification_payload(net),
+        "classification": _classification_payload(enabling.case_tag.verdict),
         "multistationary": not allowing.is_empty,
         "allowing_region": _region_payload(allowing),
         "enabling_region": _region_payload(enabling),

@@ -128,9 +128,6 @@ class SymPoly:
             },
         )
 
-    def signs(self) -> list[int]:
-        return [1 if c > 0 else -1 for c in self.terms.values()]
-
     def term_values(
         self, point: Sequence, first: int = 0
     ) -> Iterator[tuple[tuple[int, ...], int]]:

@@ -19,7 +19,17 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Sequence
 
-from .classify import UnsupportedFamilyError, build_box_diagram, classify_two_species
+from .classify import (
+    BoxDiagram,
+    Case,
+    Family,
+    UnsupportedFamilyError,
+    build_box_diagram,
+    classify_box,
+    exponent_groups,
+    feasible_patterns,
+    one_species_verdict,
+)
 from .massaction import SymPoly, count_positive_steady_states, ode_rhs, steady_state_system
 from .network import ReactionNetwork, conservation_matrix, is_full_dimensional
 from .unipoly import TrinomialForm, trinomial_D
@@ -60,15 +70,16 @@ class Region:
     constants plus total-constant symbols).  An empty tuple of conjuncts is
     the empty region; a conjunct that is itself empty is the full positive
     orthant.  witnesses optionally stores one validated interior rational
-    point per conjunct.  totals is the number of trailing ambient symbols
-    that are total constants: they may take either sign, every other
-    symbol is a positive rate constant.
+    point per conjunct.  case_tag is the Case the region was built for.
+    totals is the number of trailing ambient symbols that are total
+    constants: they may take either sign, every other symbol is a positive
+    rate constant.
     """
 
     kind: str
     ambient: tuple[str, ...]
     conjuncts: tuple[tuple[SignCondition, ...], ...]
-    case_tag: str
+    case_tag: Case
     witnesses: tuple[tuple[Fraction, ...] | None, ...] = field(default=None)
     totals: int = 0
 
@@ -106,127 +117,68 @@ def membership_float(region: Region, point: Sequence[float]) -> bool:
 # One-species regions
 
 
-def one_species_coefficient_forms(net: ReactionNetwork) -> dict[int, SymPoly]:
-    """Coefficient of x^m as a linear form in the rate symbols."""
-    r = net.num_reactions
-    forms: dict[int, SymPoly] = {}
-    for i, rxn in enumerate(net.reactions):
-        m = rxn.reactant.coeffs[0]
-        step = rxn.product.coeffs[0] - m
-        forms.setdefault(m, SymPoly(r))
-        forms[m] = forms[m] + SymPoly.symbol(r, i, step)
-    return {m: f for m, f in forms.items() if not f.is_zero()}
-
-
-def _forced_sign(form: SymPoly) -> int:
-    """+1/-1 if the linear form has a fixed sign on the positive orthant, else 0."""
-    s = form.signs()
-    if all(v > 0 for v in s):
-        return 1
-    if all(v < 0 for v in s):
-        return -1
-    return 0
-
-
 def region_one_species_net_trinomial(net: ReactionNetwork) -> Region:
     """Region for one-species networks whose net ODE has at most 3 exponents.
 
-    The region is a union of at most two conjuncts, one per alternating
-    sign pattern of the coefficient linear forms; each conjunct pairs the
-    pattern's strict sign conditions with the trinomial condition D < 0.
+    The region is a union of one conjunct per feasible alternating sign
+    pattern of the coefficients a0, a1, a2 (linear forms in the rates, each
+    signed by the pattern); each conjunct pairs the strict conditions
+    a_i > 0 that the pattern does not force with the trinomial condition
+    D < 0.
     """
-    if net.num_species != 1:
-        raise UnsupportedFamilyError("requires one species")
-    forms = one_species_coefficient_forms(net)
-    exps = sorted(forms)
-    if len(exps) > 3:
-        raise UnsupportedFamilyError("net ODE has more than 3 distinct exponents")
-    ambient = net.rate_labels
-    if len(exps) < 3:
-        # a binomial or monomial has at most one positive root for every kappa
-        return Region("allowing", ambient, (), "one_species_net_trinomial")
-    k = exps[1] - exps[0]
-    n = exps[2] - exps[0]
-    d = math.gcd(n, k)
-    N, K = n // d, k // d
-    L = [forms[e] for e in exps]
-    conjuncts: list[tuple[SignCondition, ...]] = []
-    witnesses: list[tuple[Fraction, ...] | None] = []
-    for pattern in ((1, -1, 1), (-1, 1, -1)):
-        conds: list[SignCondition] = []
-        feasible = True
-        signed: list[SymPoly] = []
-        for form, want in zip(L, pattern):
-            forced = _forced_sign(form)
-            a = form if want > 0 else -form
+    groups = exponent_groups(net)
+    # no pattern is feasible without three exponents: a binomial or monomial
+    # has at most one positive root for every kappa
+    patterns = feasible_patterns(groups)
+    conjuncts, witnesses = [], []
+    r = net.num_reactions
+    for pattern in patterns:
+        e0, e1, e2 = groups
+        k, n = e1 - e0, e2 - e0
+        N, K = n // math.gcd(n, k), k // math.gcd(n, k)
+        conds, signed = [], []
+        for steps, want in zip(groups.values(), pattern):
+            a = SymPoly(r, {tuple(int(j == i) for j in range(r)): want * s for i, s in steps})
             signed.append(a)
-            if forced == want:
-                continue
-            if forced == -want:
-                feasible = False
-                break
-            conds.append(SignCondition(a.normalized(), ">0"))
-        if not feasible:
-            continue
+            if any(want * s < 0 for _, s in steps):  # the sign is not forced
+                conds.append(SignCondition(a.normalized(), ">0"))
         a0, a1, a2 = signed
         dpoly = (
             a0 ** (N - K) * a2**K
         ).scale(n**N) - (a1**N).scale((n - k) ** (N - K) * k**K)
         conds.append(SignCondition(dpoly.normalized(), "<0"))
-        witness = _pattern_witness(net, exps, pattern, n, k, N, K)
-        if witness is None:
-            continue  # pattern is unreachable with positive rates
         conjuncts.append(tuple(conds))
-        witnesses.append(witness)
-    return Region(
-        "allowing",
-        ambient,
-        tuple(conjuncts),
-        "one_species_net_trinomial",
-        tuple(witnesses),
-    )
+        witnesses.append(_pattern_witness(groups, pattern, n, k, r))
+    case = Case(Family.ONE_SPECIES, one_species_verdict(patterns))
+    return Region("allowing", net.rate_labels, tuple(conjuncts), case, tuple(witnesses))
 
 
-def _pattern_witness(net, exps, pattern, n, k, N, K):
-    """Construct a rational kappa inside one sign-pattern conjunct.
+def _pattern_witness(groups, pattern, n, k, r):
+    """Construct a rational kappa inside one feasible sign-pattern conjunct.
 
     Sets every rate to 1, adjusts one reaction per exponent group so the
-    coefficient has the pattern's sign, then scales the middle group until
-    the trinomial D is negative.  Returns None when a group cannot take
-    the required sign with positive rates.
+    coefficient has the pattern's sign, then doubles one rate of the middle
+    group until the trinomial D is negative, or returns None after 200 steps.
     """
-    groups: dict[int, list[tuple[int, int]]] = {e: [] for e in exps}
-    for i, rxn in enumerate(net.reactions):
-        m = rxn.reactant.coeffs[0]
-        groups[m].append((i, rxn.product.coeffs[0] - m))
-    kappa = [Fraction(1)] * net.num_reactions
-    for e, want in zip(exps, pattern):
-        steps = groups[e]
-        if not any((s > 0) == (want > 0) for _, s in steps):
-            return None
-        total = sum(Fraction(s) for _, s in steps)
-        if (total > 0) == (want > 0) and total != 0:
+    kappa = [Fraction(1)] * r
+    for steps, want in zip(groups.values(), pattern):
+        total = sum(s for _, s in steps)
+        if total * want > 0:
             continue
-        i, s = next((i, s) for i, s in steps if (s > 0) == (want > 0))
-        # shift this rate so the group total lands at want * 1
-        rest = total - s * kappa[i]
-        kappa[i] = (Fraction(want) - rest) / s
+        # shift one rate of the wanted sign so the group total lands at want
+        i, s = next((i, s) for i, s in steps if s * want > 0)
+        kappa[i] = Fraction(want - total + s, s)
 
-    def coeff(e) -> Fraction:
-        return sum(s * kappa[i] for i, s in groups[e])
+    def size(steps) -> Fraction:
+        return abs(sum(s * kappa[i] for i, s in steps))
 
-    middle_idx, middle_step = next(
-        (i, s)
-        for i, s in groups[exps[1]]
-        if (s > 0) == (pattern[1] > 0)
-    )
+    lo, mid, hi = groups.values()
+    i_mid = next(i for i, s in mid if s * pattern[1] > 0)
     for _ in range(200):
-        b = abs(coeff(exps[0]) / coeff(exps[2]))
-        c = abs(coeff(exps[1]) / coeff(exps[2]))
-        t = TrinomialForm(n, k, b, c)
+        t = TrinomialForm(n, k, size(lo) / size(hi), size(mid) / size(hi))
         if trinomial_D(t) < 0:
             return tuple(kappa)
-        kappa[middle_idx] *= 2
+        kappa[i_mid] *= 2
     return None
 
 
@@ -270,12 +222,11 @@ class CutoffFunction:
         )
 
 
-def cutoff_c_star(net: ReactionNetwork) -> CutoffFunction:
-    """Cutoff function for a nondegenerately multistationary 2x2 network."""
-    verdict = classify_two_species(net)
-    if not verdict.nondegenerate:
+def cutoff_c_star(box: BoxDiagram) -> CutoffFunction:
+    """Cutoff function for the box of a nondegenerately multistationary 2x2
+    network."""
+    if not box.nondegenerate:
         raise UnsupportedFamilyError("cutoff defined only for the nondegenerate case")
-    box = build_box_diagram(net)
     u1 = box.y_prime[0] - box.y[0]
     a1 = box.y_tilde[0] - box.y[0]
     a2 = box.y_tilde[1] - box.y[1]
@@ -290,43 +241,42 @@ def region_two_species_two_reactions(net: ReactionNetwork) -> tuple[Region, Regi
     "c", which a full-dimensional network (never multistationary) lacks.
     The allowing region is its projection.
     """
-    verdict = classify_two_species(net)
-    tag = f"two_species_{verdict.matched_case.value}_{verdict.detail}".replace(" ", "_")
+    box = build_box_diagram(net)
+    verdict = classify_box(box)
     witnesses = None
     if not verdict.multistationary:
         conjuncts = ()
     else:
         if verdict.nondegenerate:
-            conj, witness = _nondegenerate_enabling(net, cutoff_c_star(net))
+            conj, witness = _nondegenerate_enabling(net, cutoff_c_star(box))
         else:
-            conj, witness = _degenerate_enabling(net, verdict.detail)
+            conj, witness = _degenerate_enabling(box, verdict.number)
         conjuncts, witnesses = (conj,), (witness,)
     (v1, v2), (w1, w2) = (rxn.vector() for rxn in net.reactions)
     totals = 0 if v1 * w2 != v2 * w1 else 1  # full dimensional: no conservation law
-    enabling = Region(
-        "enabling", net.rate_labels + ("c",) * totals, conjuncts, tag, witnesses, totals
-    )
+    ambient = net.rate_labels + ("c",) * totals
+    case = Case(Family.TWO_SPECIES, verdict)
+    enabling = Region("enabling", ambient, conjuncts, case, witnesses, totals)
     return enabling, project_to_allowing(enabling)
 
 
-def _degenerate_enabling(net, detail: str):
+def _degenerate_enabling(box: BoxDiagram, case: int):
     """Enabling conjunct of degenerate case 1-4 over (kappa, kappa_tilde, c),
     with a rational point of it: (gamma^a2 / lam, 1, 0) in case 1 and
     (1, lam, 1) in cases 2-4."""
-    box = build_box_diagram(net)
     kap, kapt, c = (SymPoly.symbol(3, i) for i in range(3))
     ln, ld = box.lam.numerator, box.lam.denominator
     one = Fraction(1)
-    if detail == "case 2":
+    u1 = box.y_prime[0] - box.y[0]
+    u2 = box.y_prime[1] - box.y[1]
+    if case == 2:
         # with y' - y = -lam (y~' - y~), steady states exist iff kappa_tilde = lam
         # kappa; they fill the class, which is empty for c <= 0 when the
-        # conservation law has no negative weight
+        # conservation law (orthogonal to y' - y) has no negative weight
         eq = SignCondition((kapt.scale(ld) - kap.scale(ln)).normalized(), "=0")
-        mixed = min(conservation_matrix(net).rows[0]) < 0
+        mixed = u1 * u2 > 0
         return ((eq,) if mixed else (SignCondition(c, ">0"), eq)), (one, box.lam, one)
-    if detail == "case 1":
-        u1 = box.y_prime[0] - box.y[0]
-        u2 = box.y_prime[1] - box.y[1]
+    if case == 1:
         a2 = box.y_tilde[1] - box.y[1]
         # slopes coincide iff lam * kappa = kappa_tilde * gamma^a2, gamma = u2/u1 > 0
         if a2 >= 0:
@@ -338,12 +288,9 @@ def _degenerate_enabling(net, detail: str):
         conj = (SignCondition(c, "=0"), SignCondition((lhs - rhs).normalized(), "=0"))
         return conj, (box.gamma**a2 / box.lam, one, Fraction(0))
     # cases 3 and 4: the steady-state set is an axis-parallel line matching
-    # exactly one compatibility class
-    if detail == "case 3":
-        e = box.y[0] - box.y_tilde[0]
-    else:
-        e = box.y[1] - box.y_tilde[1]
-    # steady-state line: c^e = kappa_tilde / (lam * kappa), e = y_i - y~_i
+    # exactly one compatibility class, x1 = c in case 3 and x2 = c in case 4:
+    # c^e = kappa_tilde / (lam * kappa) with e = y_i - y~_i
+    e = box.y[case - 3] - box.y_tilde[case - 3]
     if e > 0:
         poly = (kap * c**e).scale(ln) - kapt.scale(ld)
     else:
@@ -439,6 +386,7 @@ def region_acr_reduction(net: ReactionNetwork) -> Region:
         raise UnsupportedFamilyError("ACR reduction requires two species")
     odes = ode_rhs(net)
     r = net.num_reactions
+    case = Case(Family.ACR_REDUCTION)
     for axis in (0, 1):
         other_axis = 1 - axis
         f = odes[axis]
@@ -483,7 +431,7 @@ def region_acr_reduction(net: ReactionNetwork) -> Region:
         k_exp, n_exp = exps[1], exps[2]
         signs = [1 if reduced[e][0] > 0 else -1 for e in exps]
         if signs not in ([1, -1, 1], [-1, 1, -1]):
-            return Region("allowing", net.rate_labels, (), "acr_reduction")
+            return Region("allowing", net.rate_labels, (), case)
         d = math.gcd(n_exp, k_exp)
         N, K = n_exp // d, k_exp // d
         # b = a0/a2, ctri = a1/a2 as monomials (magnitudes)
@@ -514,9 +462,7 @@ def region_acr_reduction(net: ReactionNetwork) -> Region:
         # scaled far enough towards the side of t2
         i = next((i for i in range(r) if t1_e[i] != t2_e[i]), 0)
         witness = _scale_into((cond,), (Fraction(1),) * r, i, t1_e[i] < t2_e[i])
-        return Region(
-            "allowing", net.rate_labels, ((cond,),), "acr_reduction", (witness,)
-        )
+        return Region("allowing", net.rate_labels, ((cond,),), case, (witness,))
     raise UnsupportedFamilyError("network does not match the ACR reduction shape")
 
 
@@ -598,24 +544,31 @@ def connectivity_verdict(region: Region) -> ConnectivityVerdict:
     """Analytic connectivity verdict for regions produced by this module."""
     if region.is_empty:
         return ConnectivityVerdict("Connected", "EmptyRegion")
-    tag = region.case_tag
+    family = region.case_tag.family
     # Feliu-Telek is stated on the positive orthant: totals may be negative
     orthant = region.totals == 0
+    rates = len(region.ambient) - region.totals
     if len(region.conjuncts) == 1:
         conj = region.conjuncts[0]
         if len(conj) == 0:
             return ConnectivityVerdict("Connected", "FullPositiveOrthant")
         if len(conj) == 1 and orthant and _one_negative_coefficient(conj[0]):
             return ConnectivityVerdict("Connected", "FeliuTelek_one_negative")
-        if tag.startswith("two_species"):
+        if family is Family.TWO_SPECIES and rates == 2:
             return ConnectivityVerdict(
                 "Connected", "PaperTheorem(two_species_two_reactions)"
             )
-        if tag == "one_species_net_trinomial":
+        if family is Family.ONE_SPECIES and rates <= 3:
             return ConnectivityVerdict(
                 "Connected", "PaperTheorem(one_species_up_to_three_reactions)"
             )
-        if tag == "acr_reduction" and orthant and _one_negative_coefficient(conj[-1]):
+        if family is Family.ONE_SPECIES:
+            # kappa -> (a0, a1, a2) is linear, open and has convex fibres; it
+            # maps the conjunct onto {a > 0 : D < 0}, each a_i being a form in
+            # rates of its own.  With a0, a2 fixed, D < 0 leaves a half-line
+            # in a1, so that image is connected, and so is the conjunct.
+            return ConnectivityVerdict("Connected", "OneSignPattern")
+        if family is Family.ACR_REDUCTION and orthant and _one_negative_coefficient(conj[-1]):
             return ConnectivityVerdict("Connected", "FeliuTelek_one_negative")
         return ConnectivityVerdict("Unknown", "ProbeOnly")
     # multiple conjuncts: disconnected when they sit in disjoint sign orthants
@@ -745,7 +698,7 @@ def region_to_json(region: Region, verdict: ConnectivityVerdict | None = None) -
         "conjuncts": [
             [condition_to_json(c) for c in conj] for conj in region.conjuncts
         ],
-        "case_tag": region.case_tag,
+        "case_tag": str(region.case_tag),
     }
     if len(region.conjuncts) == 1:
         out["conditions"] = out["conjuncts"][0]

@@ -1,9 +1,8 @@
 """Exact univariate polynomial toolkit over the integers.
 
 Provides Descartes' rule of signs, Sturm-sequence root counting on
-intervals of the positive axis, Swan's closed-form discriminant for
-trinomials, and the sign trichotomy that counts positive roots of an
-alternating trinomial x^n - c*x^k + b.
+intervals of the positive axis, and the sign trichotomy that counts
+positive roots of an alternating trinomial x^n - c*x^k + b.
 
 UniPoly holds integer coefficients.  A polynomial with rational
 coefficients enters through UniPoly.from_rationals, which scales it by the
@@ -18,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 
 class ZeroPolynomialError(ValueError):
@@ -383,15 +382,18 @@ def _divisors(n: int) -> list[int]:
     return sorted(out)
 
 
-def isolate_positive_roots(p: UniPoly) -> list[tuple[Fraction, Fraction]]:
+def isolate_positive_roots(p: UniPoly,
+                           squarefree: UniPoly | None = None) -> list[tuple[Fraction, Fraction]]:
     """Disjoint open rational intervals, each holding exactly one positive root.
 
     Exact rational roots r are returned as the degenerate interval (r, r).
     The closure of every other interval holds no other root of p, 0
     included, so refine_root(p, a, b) converges to the root it isolates.
+    squarefree, when given, is the squarefree part of p with its root at 0
+    divided out, which is otherwise computed here.
     """
     q, v = p.strip_root_at_zero()
-    sf = q.squarefree_part()
+    sf = q.squarefree_part() if squarefree is None else squarefree
     rational = sorted(r for r in rational_roots(sf) if r > 0)
     work = list(sf.coeffs)
     for r in rational:
@@ -428,16 +430,19 @@ def isolate_positive_roots(p: UniPoly) -> list[tuple[Fraction, Fraction]]:
     return intervals
 
 
-def refine_root(p: UniPoly, a: Fraction, b: Fraction, rel_width: Fraction = Fraction(1, 10**12)) -> Fraction:
+def refine_root(p: UniPoly, a: Fraction, b: Fraction, rel_width: Fraction = Fraction(1, 10**12),
+                squarefree: UniPoly | None = None) -> Fraction:
     """Bisect the isolating interval (a, b) down to relative width rel_width.
 
     Bisects the squarefree part of p on dyadic midpoints, held as integer
     numerators over one common denominator; the result is the same rational
-    that halving Fractions would give.
+    that halving Fractions would give.  squarefree may stand in for that
+    part: isolate_positive_roots's differs by a factor x when 0 is a root,
+    and then a > 0, so the bisection takes the same steps.
     """
     if a == b:
         return a
-    sf = list(p.squarefree_part().coeffs)
+    sf = list((p.squarefree_part() if squarefree is None else squarefree).coeffs)
     den = math.lcm(a.denominator, b.denominator)
     an, bn = a.numerator * (den // a.denominator), b.numerator * (den // b.denominator)
     sa = _sign_at(sf, an, den)
@@ -462,94 +467,17 @@ def refine_root(p: UniPoly, a: Fraction, b: Fraction, rel_width: Fraction = Frac
 
 def positive_roots(p: UniPoly) -> list[Fraction]:
     """The distinct positive roots of p in increasing order: rational roots
-    exactly, the others refined by refine_root on their isolating intervals."""
-    return [a if a == b else refine_root(p, a, b) for a, b in isolate_positive_roots(p)]
+    exactly, the others refined by refine_root on their isolating intervals.
+    The squarefree part is computed once, for both."""
+    sf = p.strip_root_at_zero()[0].squarefree_part()
+    return [
+        a if a == b else refine_root(p, a, b, squarefree=sf)
+        for a, b in isolate_positive_roots(p, sf)
+    ]
 
 
 # ---------------------------------------------------------------------------
-# Resultants and Swan's trinomial discriminant
-
-
-def _rationals(coeffs: Sequence) -> list[Fraction]:
-    cs = [Fraction(c) for c in coeffs]
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return cs
-
-
-def sylvester_matrix(f: Sequence, g: Sequence) -> list[list[Fraction]]:
-    """Sylvester matrix of two polynomials given by rational coefficients
-    (ascending degree)."""
-    f, g = _rationals(f), _rationals(g)
-    m, n = len(f) - 1, len(g) - 1
-    size = m + n
-    fm = f[::-1]
-    gm = g[::-1]
-    rows = []
-    for i in range(n):
-        rows.append([Fraction(0)] * i + fm + [Fraction(0)] * (size - m - 1 - i))
-    for i in range(m):
-        rows.append([Fraction(0)] * i + gm + [Fraction(0)] * (size - n - 1 - i))
-    return rows
-
-
-def _det(rows: list[list[Fraction]]) -> Fraction:
-    n = len(rows)
-    rows = [row[:] for row in rows]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if rows[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-            det = -det
-        det *= rows[col][col]
-        inv = 1 / rows[col][col]
-        for r in range(col + 1, n):
-            if rows[r][col] == 0:
-                continue
-            factor = rows[r][col] * inv
-            for c in range(col, n):
-                rows[r][c] -= factor * rows[col][c]
-    return det
-
-
-def resultant(f: Sequence, g: Sequence) -> Fraction:
-    """Res(f, g) of two polynomials given by rational coefficients (ascending
-    degree); not invariant under scaling, so it takes no UniPoly."""
-    f, g = _rationals(f), _rationals(g)
-    if not f or not g:
-        raise ZeroPolynomialError("resultant of zero polynomial")
-    if len(f) == 1:
-        return f[0] ** (len(g) - 1)
-    if len(g) == 1:
-        return g[0] ** (len(f) - 1)
-    return _det(sylvester_matrix(f, g))
-
-
-def discriminant_via_resultant(p: Sequence) -> Fraction:
-    """Standard discriminant (-1)^(n(n-1)/2) Res(p, p') / lc(p) of the
-    polynomial with rational coefficients p (ascending degree)."""
-    p = _rationals(p)
-    n = len(p) - 1
-    sign = Fraction(-1) ** (n * (n - 1) // 2)
-    return sign * resultant(p, [i * c for i, c in enumerate(p)][1:]) / p[-1]
-
-
-def trinomial_discriminant(n: int, k: int, a, b) -> Fraction:
-    """Discriminant of x^n + a*x^k + b via Swan's closed form."""
-    if not 0 < k < n:
-        raise ValueError("trinomial requires 0 < k < n")
-    a, b = Fraction(a), Fraction(b)
-    d = math.gcd(n, k)
-    N, K = n // d, k // d
-    sign = Fraction(-1) ** (n * (n - 1) // 2)
-    inner = (
-        Fraction(n) ** N * b ** (N - K)
-        - Fraction(-1) ** N * Fraction(n - k) ** (N - K) * Fraction(k) ** K * a**N
-    )
-    return sign * b ** (k - 1) * inner**d
+# Trinomials
 
 
 @dataclass(frozen=True)

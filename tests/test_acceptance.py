@@ -1,4 +1,4 @@
-"""Acceptance suite: eight end-to-end criteria with pinned runtime budgets.
+"""Acceptance suite: nine end-to-end criteria with pinned runtime budgets.
 
 Each test exercises one criterion at its stated tolerance, prints one
 PASS line on success, and fails loudly otherwise.
@@ -9,12 +9,13 @@ import json
 import math
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 from click.testing import CliRunner
 
-from crnregions.classify import MatchedCase, classify, classify_one_species
+from crnregions.classify import MatchedCase, UnsupportedFamilyError, classify, exponent_groups
 from crnregions.cli import main as cli_main
 from crnregions.connectivity import ProbeConfig, probe
 from crnregions.massaction import count_positive_steady_states, steady_state_system
@@ -23,7 +24,6 @@ from crnregions.regions import (
     SymPoly,
     connectivity_verdict,
     membership,
-    one_species_coefficient_forms,
     oracle_sweep,
     region_to_json,
     regions_for_network,
@@ -31,13 +31,18 @@ from crnregions.regions import (
 from crnregions.unipoly import (
     TrinomialForm,
     descartes_sign_changes,
-    discriminant_via_resultant,
     sturm_count_positive,
-    trinomial_discriminant,
     trinomial_positive_roots,
 )
 
-from conftest import GOLDEN, NETS, exact_value, load
+from conftest import (
+    GOLDEN,
+    NETS,
+    discriminant_via_resultant,
+    exact_value,
+    load,
+    trinomial_discriminant,
+)
 
 TABLE_NETS = (
     "running",
@@ -355,8 +360,8 @@ def test_criterion_7_classification_corpus():
         grid = [Fraction(2) ** j for j in (-6, 0, 6)]
         for triple in itertools.combinations(reactions, 3):
             net = _one_species_net(triple)
-            verdict = classify_one_species(net)
-            forms = one_species_coefficient_forms(net)
+            verdict = classify(net)
+            groups = exponent_groups(net)
             if verdict.multistationary:
                 # witness constructor must land 2 oracle-counted roots
                 multi_count += 1
@@ -368,14 +373,11 @@ def test_criterion_7_classification_corpus():
                 # no kappa grid point can produce 2 roots: either fewer than
                 # 3 exponents, or fixed non-alternating coefficient signs;
                 # both cap Descartes' bound at 1 for every positive kappa.
-                if len(forms) == 3:
-                    signs = tuple(
-                        1 if exact_value(forms[e], (1, 1, 1)) > 0 else -1
-                        for e in sorted(forms)
-                    )
+                if len(groups) == 3:
                     # three exponents over three reactions: one term each,
                     # so the sign pattern is the same for every kappa
-                    assert all(len(forms[e].terms) == 1 for e in forms)
+                    assert all(len(steps) == 1 for steps in groups.values())
+                    signs = tuple(1 if steps[0][1] > 0 else -1 for steps in groups.values())
                     assert signs not in ((1, -1, 1), (-1, 1, -1)), triple
                 if sturm_spot.random() < 0.02:
                     sys_ = steady_state_system(net)
@@ -461,3 +463,35 @@ def test_criterion_8_full_scale_is_desk_scale():
             assert net.num_reactions <= 6, path.name
         # the property-based criteria (3-5, 7) cover the general formulas
         # beyond these instances; nothing here is a scaled-down substitute
+
+
+def test_criterion_9_one_species_justifications():
+    with Budget(9, "justifications on all 59109 one-species nets of 4-6 reactions", 60.0):
+        # every reaction between complexes 0, A, ..., 4A
+        reactions = [(m, p) for m in range(5) for p in range(5) if p != m]
+        refused = 0
+        seen = Counter()
+        for size in (4, 5, 6):
+            for rxns in itertools.combinations(reactions, size):
+                net = _one_species_net(rxns)
+                try:
+                    verdict = classify(net)
+                except UnsupportedFamilyError:
+                    # more than three exponents: the region is refused too
+                    refused += 1
+                    continue
+                _, allowing = regions_for_network(net)
+                assert verdict.multistationary == (not allowing.is_empty), rxns
+                conn = connectivity_verdict(allowing)
+                seen[conn.justification] += 1
+                assert conn.justification != "ProbeOnly", rxns
+                split = verdict.matched_case is MatchedCase.ONE_SPECIES_AB
+                assert (conn.value == "Disconnected") == split, rxns
+                if split:
+                    assert size == 6 and len(conn.witnesses) == 2, rxns
+                    sys_ = steady_state_system(net)
+                    for w in conn.witnesses:
+                        assert count_positive_steady_states(sys_, w).count >= 2, (rxns, w)
+        assert refused == 40064
+        assert seen["OneSignPattern"] == 3568
+        assert seen["SignPatternSplit"] == 36

@@ -8,8 +8,7 @@ from crnregions.classify import (
     UnsupportedFamilyError,
     build_box_diagram,
     classify,
-    classify_one_species,
-    classify_two_species,
+    exponent_groups,
 )
 from crnregions.network import parse_network
 
@@ -42,13 +41,19 @@ class TestOneSpecies:
         v = classify(net)
         assert not v.multistationary
 
-    def test_four_reactions_unsupported(self, prop51_net):
+    def test_both_patterns(self, prop51_net):
+        v = classify(prop51_net)
+        assert v.multistationary and v.nondegenerate
+        assert v.matched_case is MatchedCase.ONE_SPECIES_AB
+
+    def test_four_reactions_unsupported(self):
+        net = parse_network("0 -> A; k1\nA -> 0; k2\n2A -> 3A; k3\n3A -> 0; k4")
         with pytest.raises(UnsupportedFamilyError):
-            classify(prop51_net)
+            classify(net)
 
     def test_rejects_two_species(self, running_net):
         with pytest.raises(UnsupportedFamilyError):
-            classify_one_species(running_net)
+            exponent_groups(running_net)
 
 
 class TestBoxDiagram:
@@ -91,8 +96,9 @@ class TestTwoSpeciesVerdicts:
     def test_running_example(self, running_net):
         v = classify(running_net)
         assert v == ClassificationVerdict(
-            True, True, MatchedCase.TWO_SPECIES_ZIGZAG, "form 3"
+            True, True, MatchedCase.TWO_SPECIES_ZIGZAG, number=3
         )
+        assert v.detail == "form 3"
 
     @pytest.mark.parametrize(
         "text,case",

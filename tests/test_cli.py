@@ -15,7 +15,7 @@ from crnregions.classify import UnsupportedFamilyError
 from crnregions.cli import main
 from crnregions.massaction import SteadyStateCount
 
-from conftest import ACR, EQ19, EX53, PROP51, RUNNING, load
+from conftest import ACR, EQ19, EX53, NETS, PROP51, RUNNING, load
 
 
 FULL_TWO_REACTIONS = "B -> A + B; k1\nA + B -> A + 2B; k2\n"
@@ -85,7 +85,34 @@ class TestParseCommand:
         assert result.exit_code == 2
 
 
+# analyze's classification block per bundled net: (matched_case,
+# multistationary, nondegenerate, detail), or None outside the families
+# classified
+CLASSIFICATIONS = {
+    "acr": None,
+    "deg_case2": ("NotMulti", False, False, "no feasible alternating sign pattern"),
+    "eq19": ("OneSpecies_b", True, True, ""),
+    "ex53": ("OneSpecies_b", True, True, ""),
+    "joshi_n2": ("OneSpecies_a", True, True, ""),
+    "joshi_n3l1": ("OneSpecies_a", True, True, ""),
+    "joshi_n3l2": ("OneSpecies_a", True, True, ""),
+    "joshi_n5l4": ("OneSpecies_a", True, True, ""),
+    "prop51": ("OneSpecies_ab", True, True, ""),
+    "running": ("TwoSpecies_zigzag", True, True, "form 3"),
+}
+
+
 class TestAnalyzeCommand:
+    def test_classification_table(self, runner):
+        assert sorted(CLASSIFICATIONS) == sorted(p.stem for p in NETS.glob("*.crn"))
+        for name, expected in CLASSIFICATIONS.items():
+            doc = run_json(runner, "analyze", str(NETS / f"{name}.crn"), "--no-verify")
+            block = doc["classification"]
+            if expected is not None:
+                keys = ("matched_case", "multistationary", "nondegenerate", "detail")
+                expected = dict(zip(keys, expected))
+            assert block == expected, name
+
     def test_running_example(self, runner):
         doc = run_json(runner, "analyze", str(RUNNING))
         assert doc["multistationary"] is True

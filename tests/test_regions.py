@@ -10,7 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crnregions import regions
-from crnregions.classify import UnsupportedFamilyError, classify_two_species
+from crnregions.classify import (
+    Case,
+    Family,
+    UnsupportedFamilyError,
+    build_box_diagram,
+    classify,
+    exponent_groups,
+)
 from crnregions.massaction import (
     SteadyStateCount,
     count_positive_steady_states,
@@ -26,7 +33,6 @@ from crnregions.regions import (
     cutoff_c_star,
     membership,
     membership_float,
-    one_species_coefficient_forms,
     oracle_sweep,
     project_to_allowing,
     region_acr_reduction,
@@ -43,6 +49,22 @@ from conftest import NETS, exact_terms
 # running example with its rates relabelled cA, cB
 CAT_NET = "0 -> A; cat\nA -> 0; k2\n2A -> 3A; k3"
 RUNNING_C_LABELS = "2A + B -> 3A; cA\nA -> B; cB"
+
+
+def _closed_form(y, yp, yt, ytp):
+    """(multistationary, nondegenerate) of a two-species, two-reaction net
+    from its complexes alone: antiparallel reaction vectors v, v~ and the
+    reactant offset a = y - y~ with p = a1 v1, q = a2 v2 opposite in sign
+    (nondegenerate unless a1 + a2 = 0), or both zero (degenerate)."""
+    v = (yp[0] - y[0], yp[1] - y[1])
+    vt = (ytp[0] - yt[0], ytp[1] - yt[1])
+    if v[0] * vt[1] != v[1] * vt[0] or v[0] * vt[0] + v[1] * vt[1] > 0:
+        return False, False
+    a = (y[0] - yt[0], y[1] - yt[1])
+    p, q = a[0] * v[0], a[1] * v[1]
+    if p * q < 0:
+        return True, a[0] + a[1] != 0
+    return p == q == 0, False
 
 
 def single_condition(region):
@@ -152,12 +174,11 @@ class TestOneSpeciesRegions:
         assert count_positive_steady_states(sys, witness).count == 2
 
     def test_coefficient_forms(self, prop51_net):
-        forms = one_species_coefficient_forms(prop51_net)
-        assert set(forms) == {1, 2, 3}
-        # coefficient of x: -k1L + k1R
-        assert forms[1].terms == {
-            (1, 0, 0, 0, 0, 0): -1,
-            (0, 1, 0, 0, 0, 0): 1,
+        # coefficient of x: -k1L + k1R, of x^2: -k2L + k2R, of x^3: -k3L + k3R
+        assert exponent_groups(prop51_net) == {
+            1: [(0, -1), (1, 1)],
+            2: [(2, -1), (3, 1)],
+            3: [(4, -1), (5, 1)],
         }
 
     def test_net_trinomial_two_conjuncts(self, prop51_net):
@@ -205,14 +226,14 @@ class TestTwoSpeciesRegions:
         assert main.poly.terms == {(1, 0, 2): 1, (0, 1, 0): -2}
 
     def test_cutoff_matches_region_boundary(self, running_net):
-        cut = cutoff_c_star(running_net)
+        cut = cutoff_c_star(build_box_diagram(running_net))
         cstar = cut.evaluate(Fraction(1), Fraction(1))
         enabling, _ = region_two_species_two_reactions(running_net)
         assert membership_float(enabling, (1.0, 1.0, cstar * 1.01))
         assert not membership_float(enabling, (1.0, 1.0, cstar * 0.99))
 
     def test_cutoff_running_example_value(self, running_net):
-        cut = cutoff_c_star(running_net)
+        cut = cutoff_c_star(build_box_diagram(running_net))
         assert abs(cut.evaluate(Fraction(1), Fraction(1)) - 2.0) < 1e-12
 
     def test_degenerate_case2_region(self):
@@ -239,7 +260,9 @@ class TestTwoSpeciesRegions:
         assert membership(allowing, (1, 1))
 
     def test_degenerate_witnesses_exhaustive(self):
-        # every two-species, two-reaction net with coefficients <= 3
+        # every two-species, two-reaction net with coefficients <= 3: the
+        # classifier agrees with the closed form, and the oracle counts two
+        # or more states at the stored witness of every multistationary net
         cpx = list(itertools.product(range(4), repeat=2))
         rxns = [(y, yp) for y in cpx for yp in cpx if y != yp]
         seen = Counter()
@@ -252,21 +275,34 @@ class TestTwoSpeciesRegions:
                     Reaction(Complex(y), Complex(yp), f"k{i}") for i, (y, yp) in enumerate(pair)
                 ),
             )
-            verdict = classify_two_species(net)
-            if not verdict.multistationary or verdict.nondegenerate:
+            verdict = classify(net)
+            expected = _closed_form(*pair[0], *pair[1])
+            assert (verdict.multistationary, verdict.nondegenerate) == expected, pair
+            seen[expected] += 1
+            if not verdict.multistationary:
                 continue
-            seen[verdict.detail] += 1
             enabling, _ = region_two_species_two_reactions(net)
             ((conj,), (w,)) = enabling.conjuncts, enabling.witnesses
             assert all(cond.holds(w) for cond in conj), (pair, w)
             sys = steady_state_system(net)
             assert count_positive_steady_states(sys, w[:2], w[2:]).count >= 2, (pair, w)
+            if verdict.nondegenerate:
+                continue
+            seen[verdict.detail] += 1
             if verdict.detail == "case 2":
                 # below the witness's class: inside exactly when the oracle sees states
                 low = (w[0], w[1], Fraction(-1))
                 counted = count_positive_steady_states(sys, low[:2], low[2:]).count
                 assert membership(enabling, low) == (counted >= 2), pair
-        assert seen == {"case 1": 8, "case 2": 36, "case 3": 48, "case 4": 48}
+        assert seen == {
+            (False, False): 28372,
+            (True, False): 140,
+            (True, True): 36,
+            "case 1": 8,
+            "case 2": 36,
+            "case 3": 48,
+            "case 4": 48,
+        }
 
     def test_degenerate_case3_matches_oracle(self):
         net = parse_network("A + B -> A + 2B; k1\n2A + B -> 2A; k2")
@@ -404,15 +440,18 @@ class TestConnectivity:
         for w in v.witnesses:
             assert membership(allowing, w)
 
-    @pytest.mark.parametrize("tag, extra", [("hand_built", 0), ("acr_reduction", 1)])
-    def test_one_negative_rule_needs_the_positive_orthant(self, tag, extra):
-        # k1 c - k2 < 0 has one negative coefficient, but c may be negative
+    @pytest.mark.parametrize("extra", [0, 1], ids=["one_condition", "acr_last_condition"])
+    def test_one_negative_rule_needs_the_positive_orthant(self, extra):
+        # k1 c - k2 < 0 has one negative coefficient, but c may be negative;
+        # alone it meets the generic rule, after k1 > 0 the acr_reduction one
         k1, k2, c = (SymPoly.symbol(3, i) for i in range(3))
         cond = SignCondition(k1 * c - k2, "<0")
         conj = (SignCondition(k1, ">0"),) * extra + (cond,)
         ambient = ("k1", "k2", "c")
         for totals in (0, 1):
-            region = Region("enabling", ambient, (conj,), tag, totals=totals)
+            region = Region(
+                "enabling", ambient, (conj,), Case(Family.ACR_REDUCTION), totals=totals
+            )
             v = connectivity_verdict(region)
             assert (v.justification == "FeliuTelek_one_negative") == (totals == 0)
             assert totals == 0 or v.value == "Unknown"

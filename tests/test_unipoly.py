@@ -11,19 +11,18 @@ from crnregions.unipoly import (
     UniPoly,
     ZeroPolynomialError,
     descartes_sign_changes,
-    discriminant_via_resultant,
     isolate_positive_roots,
     positive_roots,
     rational_roots,
     refine_root,
-    resultant,
     root_upper_bound,
     sturm_count_open_interval,
     sturm_count_positive,
     trinomial_D,
-    trinomial_discriminant,
     trinomial_positive_roots,
 )
+
+from conftest import discriminant_via_resultant, resultant, trinomial_discriminant
 
 
 def poly(*coeffs):
@@ -175,6 +174,16 @@ class TestIntegerCore:
         (a, b), (r, s) = intervals
         assert 0 < a < b < 2 and r == s == 2
         assert abs(float(positive_roots(p)[0]) - (5**0.5 - 1)) < 1e-11
+
+    def test_positive_roots_takes_one_squarefree_part(self, monkeypatch):
+        # x^2 (x^2 - 2)^2 (x^2 - 3): a root at 0 and a double irrational root
+        p = poly(0, 0, 1) * poly(-2, 0, 1) ** 2 * poly(-3, 0, 1)
+        expected = [refine_root(p, a, b) for a, b in isolate_positive_roots(p)]
+        calls = []
+        real = UniPoly.squarefree_part
+        monkeypatch.setattr(UniPoly, "squarefree_part", lambda q: calls.append(q) or real(q))
+        assert positive_roots(p) == expected
+        assert len(expected) == 2 and len(calls) == 1
 
     @given(
         st.lists(st.integers(-9, 9), min_size=1, max_size=6).filter(any),

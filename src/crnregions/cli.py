@@ -211,7 +211,8 @@ def _analyze_text(p: dict):
     yield f"multistationary: {p['multistationary']}"
     cls = p["classification"]
     if cls:
-        yield f"classification: {cls['matched_case']} ({cls['detail']})"
+        detail = f" ({cls['detail']})" if cls["detail"] else ""
+        yield f"classification: {cls['matched_case']}{detail}"
     for kind in ("allowing", "enabling"):
         reg = p[f"{kind}_region"]
         conn = reg["connectivity"]
@@ -354,7 +355,10 @@ def cmd_probe(file, fmt, kind, seed, samples, box, csv_path) -> None:
         cfg = ProbeConfig(seed=seed, n_samples=samples, box=_parse_box(box))
     except ValueError as exc:
         _fail(f"bad parameter: {exc}", EXIT_PARSE)
-    report = probe(region, cfg)
+    try:
+        report = probe(region, cfg)
+    except OverflowError:
+        _fail("box too wide for floating-point evaluation", EXIT_PARSE)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "analytic_verdict": {

@@ -7,15 +7,17 @@ then merged when a direct or one-waypoint path between representatives
 passes the same segment test, so the count reflects geometry rather than
 sampling density.  It is numerical evidence, not a proof.
 
+A segment stays inside when one conjunct holding at both ends holds at its
+checkpoints.  A strict condition with at most two terms and no total
+constant is a half-space in log-rate coordinates, or holds everywhere or
+nowhere, and gets no checkpoints; the others cost one exp per term at each.
+
 Candidate links come from a cell list (Bentley, Stanat and Williams 1977,
-fixed-radius near neighbours): hits are hashed into cells about one link
-radius wide on their first two sampling coordinates, and each hit is tested
-against the hits of its own and the adjacent cells only, in increasing
-index order.  Pairs farther apart never link, so the report, edge count
-included, is the one the test over all pairs gives; for a given seed the
-output does not depend on how candidates are found.  The merge pass still
-tries every pair of component representatives, since the path search draws
-from the seeded generator.
+fixed-radius near neighbours) on the first three sampling coordinates, so
+the report, edge count included, is the one the test over all pairs gives.
+The merge pass tries pairs of representatives in a fixed order, as the path
+search draws from the seeded generator, and stops once no two components
+share a conjunct.
 
 Rate coordinates are strictly positive and are sampled log-uniformly;
 segments and distances for them live in log coordinates, which respects
@@ -34,7 +36,7 @@ import random
 from dataclasses import dataclass
 from typing import Sequence, TextIO
 
-from .regions import Region, membership_float
+from .regions import _SIGNS, Region, membership_float
 
 
 @dataclass(frozen=True)
@@ -136,7 +138,49 @@ def _conjunct_indices(region: Region, pt) -> set[int]:
     }
 
 
-def _segment_inside(region: Region, cp, cq, live: set[int], checks: int) -> bool:
+def _checkpoint_tables(region: Region) -> list[list[tuple[int, list]]]:
+    """Per conjunct, the conditions that the segment test checkpoints, as
+    (sign of the relation, terms), a term being (sign of c, log|c|, rate
+    exponents, (index, e) pairs of the total-constant exponents).  Half-spaces
+    are left out: holding at both endpoints, they hold on the whole segment.
+    """
+    n = len(region.ambient) - region.totals
+    return [
+        [
+            (_SIGNS[c.rel], [
+                (math.copysign(1.0, k), math.log(abs(k)), e[:n],
+                 [(i, x) for i, x in enumerate(e[n:], n) if x])
+                for e, k in c.poly.terms.items()
+            ])
+            for c in conj
+            if c.rel == "=0" or len(c.poly.terms) > 2 or any(any(e[n:]) for e in c.poly.terms)
+        ]
+        for conj in region.conjuncts
+    ]
+
+
+def _holds_along(rel: int, terms: list, cp, cq, checks: int) -> bool:
+    """The condition holds at cp + t (cq - cp) for t = j / (checks + 1), 0 < j <=
+    checks; one exp per term, of log|c| + e·cp + t e·(cq - cp) over the rates."""
+    line = [
+        (s, lc + sum(x * u for x, u in zip(er, cp)),
+         sum(x * (v - u) for x, u, v in zip(er, cp, cq)),
+         [(cp[i], cq[i] - cp[i], x) for i, x in tots])
+        for s, lc, er, tots in terms
+    ]
+    for j in range(1, checks + 1):
+        t, v = j / (checks + 1), 0.0
+        for s, a, b, tots in line:
+            w = s * math.exp(a + t * b)
+            for c0, dc, x in tots:
+                w *= (c0 + t * dc) ** x
+            v += w
+        if not (v < 0 if rel < 0 else v > 0 if rel else v == 0):
+            return False
+    return True
+
+
+def _segment_inside(tables: list, cp, cq, live: set[int], checks: int) -> bool:
     """Check the segment from cp to cq (sampling coordinates) stays inside
     one of the conjuncts live, those that hold at both endpoints.
 
@@ -145,29 +189,19 @@ def _segment_inside(region: Region, cp, cq, live: set[int], checks: int) -> bool
     disjoint conjuncts of a union.  This is conservative — it can split
     components that overlap across conjuncts, but never falsely joins.
     """
-    for j in range(1, checks + 1):
-        if not live:
-            return False
-        t = j / (checks + 1)
-        mid = _from_coords(region, tuple(a + t * (b - a) for a, b in zip(cp, cq)))
-        live = {
-            i
-            for i in live
-            if all(cond.holds_float(mid) for cond in region.conjuncts[i])
-        }
-    return bool(live)
+    return any(all(_holds_along(*c, cp, cq, checks) for c in tables[i]) for i in live)
 
 
 def _cell_neighbours(coords: list[tuple[float, ...]], radius: float) -> list[list[int]]:
     """For each point, the sorted indices of the points in its 3^k nearby cells.
 
-    Cells are hashed on the first k = min(2, d) coordinates.  Their side is
+    Cells are hashed on the first k = min(3, d) coordinates.  Their side is
     the radius widened by 1e-9 and by 1e-15 of the largest |x| / radius,
     which exceeds the rounding of the distance test and of x / side: two
     points that pass the test are never two cells apart on an axis, so the
     lists hold every pair within the radius.
     """
-    k = min(2, len(coords[0]))
+    k = min(3, len(coords[0]))
     reach = max((abs(x) for c in coords for x in c[:k]), default=0.0) / radius
     side = radius * (1 + 1e-9 + 1e-15 * reach)
     keys = [tuple(math.floor(x / side) for x in c[:k]) for c in coords]
@@ -211,6 +245,7 @@ def probe(region: Region, config: ProbeConfig = ProbeConfig()) -> ProbeReport:
     if not hits:
         return ProbeReport(config.n_samples, 0, 0, (), (), 0, config)
     uf = _UnionFind(len(hits))
+    tables = _checkpoint_tables(region)
     coords = [_coords(region, h) for h in hits]
     conj = [_conjunct_indices(region, h) for h in hits]
     r2 = config.link_radius**2
@@ -229,29 +264,32 @@ def probe(region: Region, config: ProbeConfig = ProbeConfig()) -> ProbeReport:
                 edges += 1
                 continue
             if _segment_inside(
-                region, coords[i], coords[j], conj[i] & conj[j], config.segment_checks
+                tables, coords[i], coords[j], conj[i] & conj[j], config.segment_checks
             ):
                 uf.union(i, j)
                 ri = rj
                 edges += 1
     # merge pass: sparse sampling can shatter a connected region into many
     # graph components; join representatives reachable by a checked path.
-    # Every pair of representatives is tried, near or not, so that the
-    # rng draws of the path search stay the same.  Hits in disjoint
-    # conjuncts can never share a checked segment, so those pairs are
-    # skipped outright.  label names each representative's component.
+    # Pairs are tried in a fixed order, near or not, so that the rng draws
+    # stay the same; pairs in disjoint conjuncts are skipped.  held maps a
+    # root to its representatives' conjuncts, and shared counts the components
+    # of each conjunct beyond its first: at 0 no pair is left to try.
     reps = _component_reps(uf, len(hits))
-    label = {a: a for a in reps}
-    for a in reps:
-        for b in reps:
-            if label[a] == label[b] or not (conj[a] & conj[b]):
-                continue
-            if _pathable(region, hits[a], hits[b], rng, config):
-                uf.union(a, b)
-                old, new = label[a], label[b]
-                for c in reps:
-                    if label[c] == old:
-                        label[c] = new
+    held = {uf.find(a): conj[a] for a in reps}
+    shared = sum(map(len, held.values())) - len(set().union(*held.values()))
+    search = (rng, config.merge_restarts, config.segment_checks, config.box)
+    for a, b in itertools.product(reps, repeat=2):
+        if not shared:
+            break
+        ra, rb = uf.find(a), uf.find(b)
+        if ra == rb or not (conj[a] & conj[b]):
+            continue
+        if _find_path(region, tables, hits[a], hits[b], *search) is None:
+            continue
+        uf.union(a, b)
+        shared -= len(held[ra] & held[rb])
+        held[uf.find(a)] = held.pop(ra) | held.pop(rb)
     comp: dict[int, list[int]] = {}
     for i in range(len(hits)):
         comp.setdefault(uf.find(i), []).append(i)
@@ -275,19 +313,14 @@ def _component_reps(uf: _UnionFind, n: int) -> list[int]:
 
 
 def _find_path(
-    region: Region,
-    p,
-    q,
-    rng: random.Random,
-    restarts: int,
-    checks: int,
+    region: Region, tables: list, p, q, rng: random.Random, restarts: int, checks: int,
     box: tuple[float, float],
 ) -> list[tuple[float, ...]] | None:
     """The direct segment, else the first of up to `restarts` one-waypoint
     paths through sampled points in the box; None when none stays inside."""
     cp, cq = _coords(region, p), _coords(region, q)
     sp, sq = _conjunct_indices(region, p), _conjunct_indices(region, q)
-    if _segment_inside(region, cp, cq, sp & sq, checks):
+    if _segment_inside(tables, cp, cq, sp & sq, checks):
         return [p, q]
     lo, hi = box
     for _ in range(restarts):
@@ -295,20 +328,11 @@ def _find_path(
         if not membership_float(region, w):
             continue
         cw, sw = _coords(region, w), _conjunct_indices(region, w)
-        if _segment_inside(region, cp, cw, sp & sw, checks) and _segment_inside(
-            region, cw, cq, sw & sq, checks
+        if _segment_inside(tables, cp, cw, sp & sw, checks) and _segment_inside(
+            tables, cw, cq, sw & sq, checks
         ):
             return [p, w, q]
     return None
-
-
-def _pathable(region: Region, p, q, rng: random.Random, config: ProbeConfig) -> bool:
-    return (
-        _find_path(
-            region, p, q, rng, config.merge_restarts, config.segment_checks, config.box
-        )
-        is not None
-    )
 
 
 def connect_witnesses(
@@ -332,4 +356,6 @@ def connect_witnesses(
         raise ValueError("endpoints must lie inside the region")
     if p == q:
         return [p]
-    return _find_path(region, p, q, random.Random(seed), restarts, segment_checks, box)
+    rng = random.Random(seed)
+    tables = _checkpoint_tables(region)
+    return _find_path(region, tables, p, q, rng, restarts, segment_checks, box)

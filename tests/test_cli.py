@@ -244,6 +244,16 @@ class TestAnalyzeCommand:
         assert "multistationary: True" in result.output
         assert "self-check: 0 disagreements" in result.output
 
+    @pytest.mark.parametrize(
+        "net, line",
+        [(EX53, "classification: OneSpecies_b\n"),
+         (RUNNING, "classification: TwoSpecies_zigzag (form 3)\n")],
+    )
+    def test_text_classification_line(self, runner, net, line):
+        args = ["analyze", str(net), "--format", "text", "--no-verify"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0 and line in result.output
+
 
 class TestRegionCommand:
     def test_allowing_default(self, runner):
@@ -400,6 +410,15 @@ class TestProbeCommand:
         result = runner.invoke(main, ["probe", str(RUNNING), *args])
         assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
 
+    @pytest.mark.parametrize(
+        "net, kind", [(PROP51, "allowing"), (RUNNING, "enabling")]
+    )
+    def test_overflowing_box_exit_2(self, runner, net, kind):
+        args = ["probe", str(net), "--kind", kind, "--box", "1e-200:1e200"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
+        assert "box too wide" in result.output
+
 
 class TestCountRootsCommand:
     def test_trinomial(self, runner):
@@ -495,7 +514,7 @@ def _cases(draw):
         if draw(st.booleans()):
             args += ["--c", draw(_values(1))]
     elif cmd == "probe":
-        box = draw(st.sampled_from(["1/16:16", "1/2:2"]) | st.tuples(_rationals, _rationals).map(":".join))
+        box = draw(st.sampled_from(["1/16:16", "1/2:2", "1e-200:1e200"]) | st.tuples(_rationals, _rationals).map(":".join))
         args += ["--samples", str(draw(st.integers(-5, 100))),
                  "--box", box, "--seed", str(draw(st.integers(0, 9)))]
     return text, args

@@ -1,16 +1,21 @@
 import io
+import math
 import random
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from crnregions.connectivity import (
     ProbeConfig,
     ProbeReport,
+    _checkpoint_tables,
     _component_reps,
     _conjunct_indices,
     _coords,
     _from_coords,
     _sample_point,
+    _segment_inside,
     _UnionFind,
     connect_witnesses,
     probe,
@@ -243,6 +248,15 @@ class TestReferenceEquivalence:
             )
             assert probe(region, cfg) == _reference_probe(region, cfg)
 
+    # the bench's four probe configurations
+    @pytest.mark.parametrize(
+        "name, samples", [("running", 600), ("acr", 1200), ("prop51", 4000), ("ex53", 1300)]
+    )
+    def test_bench_sizes(self, name, samples):
+        region = self.REGIONS[name]
+        cfg = ProbeConfig(seed=1, n_samples=samples, box=(0.0625, 16.0))
+        assert probe(region, cfg) == _reference_probe(region, cfg)
+
     def test_one_symbol_components(self):
         report = probe(self.REGIONS["one_symbol"], ProbeConfig(n_samples=300))
         assert report.component_count == 3
@@ -276,3 +290,66 @@ class TestConnectWitnesses:
         (w,) = allowing.witnesses
         p = tuple(float(v) for v in w)
         assert connect_witnesses(allowing, p, p) == [p]
+
+
+def _new_segment_inside(region, p, q, checks=32):
+    live = _conjunct_indices(region, p) & _conjunct_indices(region, q)
+    cp, cq = _coords(region, p), _coords(region, q)
+    return _segment_inside(_checkpoint_tables(region), cp, cq, live, checks)
+
+
+@st.composite
+def _two_term_cases(draw):
+    """A strict two-term condition in 1-4 rate symbols (a constant term
+    allowed) and two log-coordinate endpoints."""
+    d = draw(st.integers(1, 4))
+    exps = st.tuples(*[st.integers(0, 3)] * d)
+    e1, e2 = draw(st.lists(exps, min_size=2, max_size=2, unique=True))
+    c1, c2 = draw(st.lists(st.integers(-6, 6).filter(bool), min_size=2, max_size=2))
+    rel = draw(st.sampled_from(["<0", ">0"]))
+    u, v = (draw(st.tuples(*[st.floats(-3, 3)] * d)) for _ in range(2))
+    return SymPoly(d, {e1: c1, e2: c2}), rel, u, v
+
+
+class TestHalfSpaceShortcut:
+    """Strict conditions with at most two terms and no total constant get
+    no checkpoints; the segment test still agrees with the reference."""
+
+    @given(case=_two_term_cases())
+    def test_two_term_conditions_match_reference(self, case):
+        poly, rel, u, v = case
+        d = poly.nsym
+        region = Region("allowing", tuple(f"k{i}" for i in range(d)),
+                        ((SignCondition(poly, rel),),), "hand_built")
+        p = _from_coords(region, u)
+        q = _from_coords(region, v)
+        assert not _checkpoint_tables(region)[0]
+        # endpoints inside, and not so close to the boundary that the
+        # reference's log/exp round trip lands a checkpoint on it
+        for pt in (p, q):
+            values = [c * math.prod(x**k for x, k in zip(pt, e))
+                      for e, c in poly.terms.items()]
+            assume(membership_float(region, pt))
+            assume(abs(sum(values)) > 1e-9 * sum(map(abs, values)))
+        assert _new_segment_inside(region, p, q) == _reference_segment_inside(
+            region, p, q, 32
+        )
+
+    def test_trinomial_gap_is_checkpointed(self):
+        region = _one_symbol_region()
+        assert _checkpoint_tables(region)[0]
+        p, q = (0.5,), (5.0,)
+        assert _conjunct_indices(region, p) == _conjunct_indices(region, q) == {0}
+        assert not _new_segment_inside(region, p, q)
+        assert not _reference_segment_inside(region, p, q, 32)
+
+    def test_total_symbol_condition_is_checkpointed(self):
+        # k1 c^2 - 4 k2 > 0 alone: c = -3 and c = 3 hold it, c = 0 does not
+        enabling = TestReferenceEquivalence.REGIONS["running_enabling"]
+        (cond,) = [c for c in enabling.conjuncts[0] if len(c.poly.terms) == 2]
+        region = Region("enabling", enabling.ambient, ((cond,),), "hand_built", totals=1)
+        assert _checkpoint_tables(region)[0]
+        p, q = (1.0, 1.0, -3.0), (1.0, 1.0, 3.0)
+        assert membership_float(region, p) and membership_float(region, q)
+        assert not _new_segment_inside(region, p, q)
+        assert not _reference_segment_inside(region, p, q, 32)

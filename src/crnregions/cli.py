@@ -159,7 +159,7 @@ def _region_payload(region: Region) -> dict:
 @click.argument("file", type=click.Path())
 @fmt_option
 @click.option("--seed", type=int, default=42, show_default=True)
-@click.option("--samples", type=int, default=100, show_default=True,
+@click.option("--samples", type=click.IntRange(min=0), default=100, show_default=True,
               help="Self-check sample count.")
 @click.option("--no-verify", is_flag=True, help="Skip the region/oracle self-check.")
 def cmd_analyze(file: str, fmt: str, seed: int, samples: int, no_verify: bool) -> None:
@@ -281,7 +281,7 @@ def _parse_fraction_list(text: str) -> tuple[Fraction, ...]:
 @click.option("--kappa", type=str, default=None,
               help="Rate constants as comma-separated rationals.")
 @click.option("--c", "c_value", type=str, default=None,
-              help="Total constants as comma-separated rationals.")
+              help="Total constants as comma-separated rationals; needs --kappa.")
 @click.option("--seed", type=int, default=42, show_default=True)
 def cmd_witness(file, fmt, kappa, c_value, seed) -> None:
     """Steady states at a parameter point inside the region.
@@ -295,6 +295,8 @@ def cmd_witness(file, fmt, kappa, c_value, seed) -> None:
     if kappa is not None:
         kap = _parse_fraction_list(kappa)
         cs = _parse_fraction_list(c_value) if c_value else ()
+    elif c_value is not None:
+        _fail("--c needs --kappa: the stored witness fixes its own totals", EXIT_PARSE)
     else:
         stored = next((w for w in enabling.witnesses if w is not None), None)
         if stored is None:
@@ -340,9 +342,8 @@ def _witness_text(p: dict):
               default="allowing", show_default=True)
 @click.option("--seed", type=int, default=42, show_default=True)
 @click.option("--samples", type=int, default=4000, show_default=True)
-@click.option("--box", type=str, default="1/16:16", show_default=True,
-              help="Sampling interval lo:hi (positive); the library's "
-                   "ProbeConfig() defaults to 0.01:100 instead.")
+@click.option("--box", type=str, default=":".join(map(str, map(Fraction, ProbeConfig.box))),
+              show_default=True, help="Sampling interval lo:hi (positive).")
 @click.option("--csv", "csv_path", type=click.Path(), default=None,
               help="Write component representatives as CSV.")
 def cmd_probe(file, fmt, kind, seed, samples, box, csv_path) -> None:

@@ -36,14 +36,14 @@ import random
 from dataclasses import dataclass
 from typing import Sequence, TextIO
 
-from .regions import _SIGNS, Region, membership_float
+from .regions import _SIGNS, Region
 
 
 @dataclass(frozen=True)
 class ProbeConfig:
     seed: int = 42
     n_samples: int = 4000
-    box: tuple[float, float] = (0.01, 100.0)
+    box: tuple[float, float] = (1 / 16, 16.0)
     link_radius: float = 1.0
     segment_checks: int = 32
     merge_restarts: int = 64
@@ -237,17 +237,19 @@ def probe(region: Region, config: ProbeConfig = ProbeConfig()) -> ProbeReport:
     """Sample the region and estimate its number of connected components."""
     rng = random.Random(config.seed)
     lo, hi = config.box
+    # the hits, and the conjuncts that hold at each
     hits: list[tuple[float, ...]] = []
+    conj: list[set[int]] = []
     for _ in range(config.n_samples):
         pt = _sample_point(rng, region, lo, hi)
-        if membership_float(region, pt):
+        if held := _conjunct_indices(region, pt):
             hits.append(pt)
+            conj.append(held)
     if not hits:
         return ProbeReport(config.n_samples, 0, 0, (), (), 0, config)
     uf = _UnionFind(len(hits))
     tables = _checkpoint_tables(region)
     coords = [_coords(region, h) for h in hits]
-    conj = [_conjunct_indices(region, h) for h in hits]
     r2 = config.link_radius**2
     edges = 0
     # pairs in (i, j) order, as over all pairs: edge_count depends on it.
@@ -285,7 +287,7 @@ def probe(region: Region, config: ProbeConfig = ProbeConfig()) -> ProbeReport:
         ra, rb = uf.find(a), uf.find(b)
         if ra == rb or not (conj[a] & conj[b]):
             continue
-        if _find_path(region, tables, hits[a], hits[b], *search) is None:
+        if _find_path(region, tables, hits[a], hits[b], conj[a], conj[b], *search) is None:
             continue
         uf.union(a, b)
         shared -= len(held[ra] & held[rb])
@@ -313,21 +315,22 @@ def _component_reps(uf: _UnionFind, n: int) -> list[int]:
 
 
 def _find_path(
-    region: Region, tables: list, p, q, rng: random.Random, restarts: int, checks: int,
-    box: tuple[float, float],
+    region: Region, tables: list, p, q, sp: set[int], sq: set[int], rng: random.Random,
+    restarts: int, checks: int, box: tuple[float, float],
 ) -> list[tuple[float, ...]] | None:
     """The direct segment, else the first of up to `restarts` one-waypoint
-    paths through sampled points in the box; None when none stays inside."""
+    paths through sampled points in the box; None when none stays inside.
+    sp and sq are the conjuncts that hold at p and at q."""
     cp, cq = _coords(region, p), _coords(region, q)
-    sp, sq = _conjunct_indices(region, p), _conjunct_indices(region, q)
     if _segment_inside(tables, cp, cq, sp & sq, checks):
         return [p, q]
     lo, hi = box
     for _ in range(restarts):
         w = _sample_point(rng, region, lo, hi)
-        if not membership_float(region, w):
+        sw = _conjunct_indices(region, w)
+        if not sw:
             continue
-        cw, sw = _coords(region, w), _conjunct_indices(region, w)
+        cw = _coords(region, w)
         if _segment_inside(tables, cp, cw, sp & sw, checks) and _segment_inside(
             tables, cw, cq, sw & sq, checks
         ):
@@ -352,10 +355,11 @@ def connect_witnesses(
     """
     p = tuple(float(v) for v in p)
     q = tuple(float(v) for v in q)
-    if not (membership_float(region, p) and membership_float(region, q)):
+    sp, sq = _conjunct_indices(region, p), _conjunct_indices(region, q)
+    if not (sp and sq):
         raise ValueError("endpoints must lie inside the region")
     if p == q:
         return [p]
     rng = random.Random(seed)
     tables = _checkpoint_tables(region)
-    return _find_path(region, tables, p, q, rng, restarts, segment_checks, box)
+    return _find_path(region, tables, p, q, sp, sq, rng, restarts, segment_checks, box)

@@ -9,6 +9,11 @@ of its enabling region onto the rate symbols (project_to_allowing).
 
 Enabling regions for two-species networks are stated with respect to the
 canonical RREF conservation-law matrix produced by the network module.
+
+Every trinomial condition (one-species nets, ACR reductions) comes from
+_trinomial_conjunct.  Every stored witness comes from _scale_into, so it is
+a rational point where each condition of its own conjunct holds exactly,
+or None.
 """
 
 from __future__ import annotations
@@ -32,7 +37,6 @@ from .classify import (
 )
 from .massaction import SymPoly, count_positive_steady_states, ode_rhs, steady_state_system
 from .network import ReactionNetwork, conservation_matrix, is_full_dimensional
-from .unipoly import TrinomialForm, trinomial_D
 
 _SIGNS = {"<0": -1, "=0": 0, ">0": 1}
 
@@ -122,9 +126,7 @@ def region_one_species_net_trinomial(net: ReactionNetwork) -> Region:
 
     The region is a union of one conjunct per feasible alternating sign
     pattern of the coefficients a0, a1, a2 (linear forms in the rates, each
-    signed by the pattern); each conjunct pairs the strict conditions
-    a_i > 0 that the pattern does not force with the trinomial condition
-    D < 0.
+    signed by the pattern), built by _trinomial_conjunct.
     """
     groups = exponent_groups(net)
     # no pattern is feasible without three exponents: a binomial or monomial
@@ -133,104 +135,48 @@ def region_one_species_net_trinomial(net: ReactionNetwork) -> Region:
     conjuncts, witnesses = [], []
     r = net.num_reactions
     for pattern in patterns:
-        e0, e1, e2 = groups
-        k, n = e1 - e0, e2 - e0
-        N, K = n // math.gcd(n, k), k // math.gcd(n, k)
-        conds, signed = [], []
+        # the witness starts at rates 1, one rate per group shifted so that
+        # the group's total lands at the pattern's sign (totals may be 0)
+        kappa, signed = [Fraction(1)] * r, []
         for steps, want in zip(groups.values(), pattern):
-            a = SymPoly(r, {tuple(int(j == i) for j in range(r)): want * s for i, s in steps})
-            signed.append(a)
-            if any(want * s < 0 for _, s in steps):  # the sign is not forced
-                conds.append(SignCondition(a.normalized(), ">0"))
-        a0, a1, a2 = signed
-        dpoly = (
-            a0 ** (N - K) * a2**K
-        ).scale(n**N) - (a1**N).scale((n - k) ** (N - K) * k**K)
-        conds.append(SignCondition(dpoly.normalized(), "<0"))
-        conjuncts.append(tuple(conds))
-        witnesses.append(_pattern_witness(groups, pattern, n, k, r))
+            terms = {tuple(int(j == i) for j in range(r)): want * s for i, s in steps}
+            signed.append(SymPoly(r, terms))
+            total = sum(s for _, s in steps)
+            if total * want <= 0:
+                i, s = next((i, s) for i, s in steps if s * want > 0)
+                kappa[i] = Fraction(want - total + s, s)
+        e0, e1, e2 = groups
+        conj = _trinomial_conjunct(signed, e2 - e0, e1 - e0)
+        # the signed forms are positive from the start, and doubling a rate
+        # that grows the signed middle form drives D below 0
+        i_mid = next(i for i, s in groups[e1] if s * pattern[1] > 0)
+        conjuncts.append(conj)
+        witnesses.append(_scale_into(conj, kappa, i_mid, True))
     case = Case(Family.ONE_SPECIES, one_species_verdict(patterns))
     return Region("allowing", net.rate_labels, tuple(conjuncts), case, tuple(witnesses))
 
 
-def _pattern_witness(groups, pattern, n, k, r):
-    """Construct a rational kappa inside one feasible sign-pattern conjunct.
+def _trinomial_conjunct(signed, n: int, k: int) -> tuple[SignCondition, ...]:
+    """Conditions for two positive roots of a0 + a1 x^k + a2 x^n, 0 < k < n.
 
-    Sets every rate to 1, adjusts one reaction per exponent group so the
-    coefficient has the pattern's sign, then doubles one rate of the middle
-    group until the trinomial D is negative, or returns None after 200 steps.
+    signed holds the coefficients times an alternating sign pattern, all
+    three times one positive factor.  The roots exist exactly when every
+    signed form is positive and D < 0, D = n^N s0^(N-K) s2^K - (n-k)^(N-K)
+    k^K s1^N with N = n/g, K = k/g, g = gcd(n, k): the trinomial discriminant
+    quantity times s2^N, homogeneous of degree N, so the common factor
+    changes no sign.  A form without a negative coefficient is positive on
+    the orthant and gets no condition.
     """
-    kappa = [Fraction(1)] * r
-    for steps, want in zip(groups.values(), pattern):
-        total = sum(s for _, s in steps)
-        if total * want > 0:
-            continue
-        # shift one rate of the wanted sign so the group total lands at want
-        i, s = next((i, s) for i, s in steps if s * want > 0)
-        kappa[i] = Fraction(want - total + s, s)
-
-    def size(steps) -> Fraction:
-        return abs(sum(s * kappa[i] for i, s in steps))
-
-    lo, mid, hi = groups.values()
-    i_mid = next(i for i, s in mid if s * pattern[1] > 0)
-    for _ in range(200):
-        t = TrinomialForm(n, k, size(lo) / size(hi), size(mid) / size(hi))
-        if trinomial_D(t) < 0:
-            return tuple(kappa)
-        kappa[i_mid] *= 2
-    return None
+    g = math.gcd(n, k)
+    N, K = n // g, k // g
+    s0, s1, s2 = signed
+    conds = [SignCondition(a.normalized(), ">0") for a in signed if min(a.terms.values()) < 0]
+    dpoly = (s0 ** (N - K) * s2**K).scale(n**N) - (s1**N).scale((n - k) ** (N - K) * k**K)
+    return (*conds, SignCondition(dpoly.normalized(), "<0"))
 
 
 # ---------------------------------------------------------------------------
 # Two-species, two-reaction regions
-
-
-@dataclass(frozen=True)
-class CutoffFunction:
-    """The tangency cutoff c* as a function of the two rate constants.
-
-    c* = u1 * K * (1 + 1/alpha) * (-gamma*alpha/K)^(1/(1+alpha)) with
-    K = (lam * kappa / kappa_tilde)^(1/a2), expressed through exact
-    rational data; evaluate() uses floating point for the radicals.
-    """
-
-    u1: int
-    a1: int
-    a2: int
-    gamma: Fraction
-    alpha: Fraction
-    lam: Fraction
-
-    @property
-    def m(self) -> int:
-        return self.a1 + self.a2
-
-    def evaluate(self, kappa: Fraction, kappa_tilde: Fraction) -> float:
-        """The tangency value t*; its sign is the sign of m/a2."""
-        pm = self.power_m(kappa, kappa_tilde)
-        mag = abs(self.u1) * float(abs(pm)) ** (1.0 / self.m)
-        return mag if Fraction(self.m, self.a2) > 0 else -mag
-
-    def power_m(self, kappa: Fraction, kappa_tilde: Fraction) -> Fraction:
-        """Exact value of (c*/u1)^m, rational for rational inputs."""
-        G = -self.gamma * self.alpha
-        return (
-            Fraction(self.m, self.a2) ** self.m
-            * (self.lam * Fraction(kappa) / Fraction(kappa_tilde))
-            * G**self.a1
-        )
-
-
-def cutoff_c_star(box: BoxDiagram) -> CutoffFunction:
-    """Cutoff function for the box of a nondegenerately multistationary 2x2
-    network."""
-    if not box.nondegenerate:
-        raise UnsupportedFamilyError("cutoff defined only for the nondegenerate case")
-    u1 = box.y_prime[0] - box.y[0]
-    a1 = box.y_tilde[0] - box.y[0]
-    a2 = box.y_tilde[1] - box.y[1]
-    return CutoffFunction(u1, a1, a2, box.gamma, box.alpha, box.lam)
 
 
 def region_two_species_two_reactions(net: ReactionNetwork) -> tuple[Region, Region]:
@@ -243,15 +189,13 @@ def region_two_species_two_reactions(net: ReactionNetwork) -> tuple[Region, Regi
     """
     box = build_box_diagram(net)
     verdict = classify_box(box)
-    witnesses = None
-    if not verdict.multistationary:
-        conjuncts = ()
-    else:
+    conjuncts, witnesses = (), None
+    if verdict.multistationary:
         if verdict.nondegenerate:
-            conj, witness = _nondegenerate_enabling(net, cutoff_c_star(box))
+            conj, start, up = _nondegenerate_enabling(net, box)
         else:
-            conj, witness = _degenerate_enabling(box, verdict.number)
-        conjuncts, witnesses = (conj,), (witness,)
+            (conj, start), up = _degenerate_enabling(box, verdict.number), True
+        conjuncts, witnesses = (conj,), (_scale_into(conj, start, 2, up),)
     (v1, v2), (w1, w2) = (rxn.vector() for rxn in net.reactions)
     totals = 0 if v1 * w2 != v2 * w1 else 1  # full dimensional: no conservation law
     ambient = net.rate_labels + ("c",) * totals
@@ -299,25 +243,35 @@ def _degenerate_enabling(box: BoxDiagram, case: int):
     return conj, (one, box.lam, one)
 
 
-def _nondegenerate_enabling(net, cut: CutoffFunction):
+def _nondegenerate_enabling(net, box: BoxDiagram):
     """Enabling conjunct from the cutoff case analysis, in RREF-c coordinates,
-    with a witness inside it."""
+    with a float guess (1, 1, c) for a point inside it and whether c must
+    grow (else shrink) to enter it.
+
+    The cutoff c* = u1 K (1 + 1/alpha) (-gamma alpha / K)^(1/(1+alpha)),
+    K = (lam kappa / kappa_tilde)^(1/a2), has the rational power
+    (c*/u1)^m = rho kappa / kappa_tilde, m = a1 + a2.  The guess takes
+    t* = +-|u1| |rho|^(1/m) at kappa = kappa_tilde = 1 and t = 2 t* (or t*/2
+    when the region is |t| < |t*|), rounded.
+    """
+    u1 = box.y_prime[0] - box.y[0]
+    a1 = box.y_tilde[0] - box.y[0]
+    a2 = box.y_tilde[1] - box.y[1]
     w = conservation_matrix(net).rows[0]
-    u1 = cut.u1
-    u2 = int(cut.gamma * u1)
+    u2 = int(box.gamma * u1)
     # normalized row [-u2, u1] = s * w
     s = Fraction(-u2) / w[0] if w[0] != 0 else Fraction(u1) / w[1]
     mu = s / u1  # t = mu * c_rref
-    m = cut.m
+    m = a1 + a2
     M = abs(m)
-    alpha = cut.alpha
-    s_t = 1 if (Fraction(m) / cut.a2) > 0 else -1  # sign of t*
+    alpha = box.alpha
+    s_t = 1 if (Fraction(m) / a2) > 0 else -1  # sign of t*
     # dir: True means |t| > |t*| inside the region
     bigger = alpha > 0
     s_c = s_t * (1 if mu > 0 else -1)
     # R = (t*)^m = rho * kappa / kappa_tilde
-    G = -cut.gamma * alpha
-    rho = Fraction(m, cut.a2) ** m * G**cut.a1 * cut.lam
+    G = -box.gamma * alpha
+    rho = Fraction(m, a2) ** m * G**a1 * box.lam
     rho_abs = abs(rho)
     nsym = 3
     mu_absM = abs(mu) ** M
@@ -342,22 +296,10 @@ def _nondegenerate_enabling(net, cut: CutoffFunction):
     c_cond = SignCondition(
         SymPoly.symbol(nsym, 2, 1 if s_c > 0 else -1), ">0"
     )
-    conj = (c_cond, main)
-    return conj, _nondeg_enabling_witness(cut, mu, conj, bigger)
-
-
-def _nondeg_enabling_witness(cut: CutoffFunction, mu, conj, bigger):
-    """A rational (1, 1, c) strictly inside the conjunct, or None.
-
-    Starts from the floating-point guess t = 2 t* (or t*/2 when the region
-    is |t| < |t*|) and doubles (or halves) c until every condition holds
-    exactly: the float t* can round onto or past the boundary.
-    """
-    one = Fraction(1)
-    tstar = cut.evaluate(one, one)
+    tstar = s_t * abs(u1) * float(rho_abs) ** (1.0 / m)  # at kappa = kappa_tilde = 1
     t = tstar * 2 if bigger else tstar / 2
     c = Fraction(t / float(mu)).limit_denominator(10**6)
-    return _scale_into(conj, (one, one, c), 2, bigger)
+    return (c_cond, main), (Fraction(1), Fraction(1), c), bigger
 
 
 def _scale_into(conj, point, i: int, up: bool):
@@ -428,40 +370,23 @@ def region_acr_reduction(net: ReactionNetwork) -> Region:
         exps = sorted(reduced)
         if len(exps) != 3 or exps[0] != 0:
             continue
-        k_exp, n_exp = exps[1], exps[2]
         signs = [1 if reduced[e][0] > 0 else -1 for e in exps]
         if signs not in ([1, -1, 1], [-1, 1, -1]):
             return Region("allowing", net.rate_labels, (), case)
-        d = math.gcd(n_exp, k_exp)
-        N, K = n_exp // d, k_exp // d
-        # b = a0/a2, ctri = a1/a2 as monomials (magnitudes)
-        a = {e: (abs(reduced[e][0]), reduced[e][1]) for e in exps}
-        # D < 0: n^N b^(N-K) - (n-k)^(N-K) k^K ctri^N < 0; clear a2 powers
-        t1_c = Fraction(n_exp) ** N * a[0][0] ** (N - K) * a[n_exp][0] ** K
-        t1_e = tuple(
-            (N - K) * x + K * y for x, y in zip(a[0][1], a[n_exp][1])
-        )
-        t2_c = (
-            Fraction(n_exp - k_exp) ** (N - K)
-            * Fraction(k_exp) ** K
-            * a[k_exp][0] ** N
-        )
-        t2_e = tuple(N * x for x in a[k_exp][1])
-        # clear negative exponents and rational coefficients
-        min_e = [min(x, y, 0) for x, y in zip(t1_e, t2_e)]
-        t1_e = tuple(x - mn for x, mn in zip(t1_e, min_e))
-        t2_e = tuple(x - mn for x, mn in zip(t2_e, min_e))
-        den = (t1_c.denominator * t2_c.denominator) // math.gcd(
-            t1_c.denominator, t2_c.denominator
-        )
-        poly = SymPoly(
-            r, {t1_e: int(t1_c * den), t2_e: -int(t2_c * den)}
-        ).normalized()
-        cond = SignCondition(poly, "<0")
-        # t1 < t2 holds once the rate where their exponents differ is
-        # scaled far enough towards the side of t2
-        i = next((i for i in range(r) if t1_e[i] != t2_e[i]), 0)
-        witness = _scale_into((cond,), (Fraction(1),) * r, i, t1_e[i] < t2_e[i])
+        # |a_e| kappa^x_e over a common positive factor: integer
+        # coefficients and nonnegative exponents
+        den = math.lcm(*(reduced[e][0].denominator for e in exps))
+        low = [min(col) for col in zip(*(reduced[e][1] for e in exps))]
+        signed = [
+            SymPoly(r, {tuple(x - m for x, m in zip(xs, low)): int(abs(c) * den)})
+            for c, xs in map(reduced.get, exps)
+        ]
+        (cond,) = _trinomial_conjunct(signed, exps[2], exps[1])
+        # D is one positive and one negative monomial: scale the first rate
+        # where their exponents differ towards the negative one
+        (pos, _), (neg, _) = sorted(cond.poly.terms.items(), key=lambda t: -t[1])
+        i = next((i for i in range(r) if pos[i] != neg[i]), 0)
+        witness = _scale_into((cond,), (Fraction(1),) * r, i, pos[i] < neg[i])
         return Region("allowing", net.rate_labels, ((cond,),), case, (witness,))
     raise UnsupportedFamilyError("network does not match the ACR reduction shape")
 

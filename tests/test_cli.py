@@ -149,6 +149,12 @@ class TestAnalyzeCommand:
         doc = run_json(runner, "analyze", str(RUNNING), "--no-verify")
         assert "self_check" not in doc
 
+    def test_negative_samples_exit_2(self, runner):
+        # a self-check of no points must not read as a pass
+        result = runner.invoke(main, ["analyze", str(RUNNING), "--samples", "-3"])
+        assert result.exit_code == 2 and "--samples" in result.output
+        assert "self_check" not in result.output
+
     def test_unsupported_family_exit_3(self, runner, tmp_path):
         three = tmp_path / "three.crn"
         three.write_text("A + B -> C; k1\nC -> A + B; k2\n")
@@ -322,6 +328,11 @@ class TestWitnessCommand:
         monkeypatch.setattr(cli, "count_positive_steady_states", _refuse)
         result = runner.invoke(main, ["witness", str(ACR)])
         assert result.exit_code == 3 and "unsupported family" in result.output
+
+    def test_c_without_kappa_exit_2(self, runner):
+        # the stored witness carries its own totals: --c alone is not used
+        result = runner.invoke(main, ["witness", str(RUNNING), "--c", "99"])
+        assert result.exit_code == 2 and "--c needs --kappa" in result.output
 
     def test_dimension_mismatch_exit_2(self, runner):
         result = runner.invoke(main, ["witness", str(RUNNING), "--kappa", "1,1,1"])

@@ -6,7 +6,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from crnregions import regions
@@ -14,7 +14,6 @@ from crnregions.classify import (
     Case,
     Family,
     UnsupportedFamilyError,
-    build_box_diagram,
     classify,
     exponent_groups,
 )
@@ -30,9 +29,7 @@ from crnregions.regions import (
     SymPoly,
     _limit_denominator,
     connectivity_verdict,
-    cutoff_c_star,
     membership,
-    membership_float,
     oracle_sweep,
     project_to_allowing,
     region_acr_reduction,
@@ -225,16 +222,13 @@ class TestTwoSpeciesRegions:
         ((_, main),) = enabling.conjuncts
         assert main.poly.terms == {(1, 0, 2): 1, (0, 1, 0): -2}
 
-    def test_cutoff_matches_region_boundary(self, running_net):
-        cut = cutoff_c_star(build_box_diagram(running_net))
-        cstar = cut.evaluate(Fraction(1), Fraction(1))
+    def test_cutoff_at_unit_rates(self, running_net):
+        # k1 c^2 - 4 k2 > 0: at kappa = kappa~ = 1 the cutoff is c* = 2, itself outside
         enabling, _ = region_two_species_two_reactions(running_net)
-        assert membership_float(enabling, (1.0, 1.0, cstar * 1.01))
-        assert not membership_float(enabling, (1.0, 1.0, cstar * 0.99))
-
-    def test_cutoff_running_example_value(self, running_net):
-        cut = cutoff_c_star(build_box_diagram(running_net))
-        assert abs(cut.evaluate(Fraction(1), Fraction(1)) - 2.0) < 1e-12
+        one = Fraction(1)
+        assert membership(enabling, (one, one, Fraction(201, 100)))
+        assert not membership(enabling, (one, one, Fraction(2)))
+        assert not membership(enabling, (one, one, Fraction(199, 100)))
 
     def test_degenerate_case2_region(self):
         net = parse_network("A + B -> 3A + 3B; k1\nA + B -> 0; k2")
@@ -379,6 +373,96 @@ class TestAcrReduction:
     def test_non_acr_shape_raises(self, running_net):
         with pytest.raises(UnsupportedFamilyError):
             region_acr_reduction(running_net)
+
+
+_RATES = st.lists(
+    st.builds(Fraction, st.integers(1, 12), st.integers(1, 12)), min_size=6, max_size=6
+)
+
+
+@st.composite
+def _trinomial_pairs(draw):
+    """(m, p) reactant and product of a one-species net whose net ODE has
+    three exponents, e0 > 0 allowed, in a drawn order; a group of steps +1
+    and -1 has total 0."""
+    exps = draw(st.sets(st.integers(0, 6), min_size=3, max_size=3))
+    pairs = [
+        (m, m + s)
+        for m in exps
+        for s in draw(st.sets(st.integers(-min(m, 3), 3).filter(bool), min_size=1, max_size=2))
+    ]
+    return draw(st.permutations(pairs))
+
+
+@st.composite
+def _acr_entries(draw):
+    """Reactions of an ACR-shaped two-species net: mX -> more X and
+    (m+1)X -> less X fix x*, the others keep X and change Y with reactant
+    Y exponents 0 < k < n; species order and reaction order drawn."""
+    m = draw(st.integers(0, 2))
+    k = draw(st.integers(1, 3))
+    n = draw(st.integers(k + 1, 4))
+    x1, x2 = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    entries = [
+        ((m, 0), (m + draw(st.integers(1, 2)), draw(st.integers(0, 2)))),
+        ((m + 1, 0), (m + 1 - draw(st.integers(1, m + 1)), draw(st.integers(0, 2)))),
+        ((x1, k), (x1, k - draw(st.integers(1, k)))),
+        ((x2, n), (x2, draw(st.integers(0, 5).filter(lambda v: v != n)))),
+    ]
+    if draw(st.booleans()):
+        entries = [(y[::-1], yp[::-1]) for y, yp in entries]
+    return draw(st.permutations(entries))
+
+
+def _net(entries, species):
+    return ReactionNetwork(
+        species,
+        tuple(Reaction(Complex(y), Complex(yp), f"k{i + 1}") for i, (y, yp) in enumerate(entries)),
+    )
+
+
+class TestTrinomialRegionsAgainstOracle:
+    """Exact membership in a trinomial region is "the oracle counts at least
+    two states": at D = 0 the region leaves the point out and the oracle
+    counts the double root once.  Every stored witness satisfies its own
+    conjunct."""
+
+    @staticmethod
+    def _check(net, rates):
+        _, allowing = regions_for_network(net)
+        for conj, w in zip(allowing.conjuncts, allowing.witnesses):
+            assert w is None or all(cond.holds(w) for cond in conj), (conj, w)
+        kappa = tuple(rates[: net.num_reactions])
+        result = count_positive_steady_states(steady_state_system(net), kappa)
+        if result.continuum:
+            # the net ODE vanishes identically: every x is a steady state,
+            # on a measure-zero set of rates that the open region leaves out
+            assert not membership(allowing, kappa)
+        else:
+            assert membership(allowing, kappa) == (result.count >= 2), kappa
+        return allowing
+
+    @given(pairs=_trinomial_pairs(), rates=_RATES)
+    @settings(max_examples=150, deadline=None)
+    # 1 - 2x + x^2 (D = 0) and 1 - 3x + x^2 (inside); prop51's shape at
+    # equal rates (the ODE vanishes); exponents 2, 4, 6 (gcd 2) with a
+    # zero-total group
+    @example(pairs=[(0, 1), (1, 0), (2, 3)], rates=list(map(Fraction, (1, 2, 1))))
+    @example(pairs=[(0, 1), (1, 0), (2, 3)], rates=list(map(Fraction, (1, 3, 1))))
+    @example(pairs=[(1, 0), (1, 2), (2, 1), (2, 3), (3, 2), (3, 4)], rates=[Fraction(1)] * 6)
+    @example(pairs=[(2, 1), (2, 3), (4, 3), (6, 7)], rates=[Fraction(v, 3) for v in range(1, 5)])
+    def test_one_species(self, pairs, rates):
+        self._check(_net([((m,), (p,)) for m, p in pairs], ("A",)), rates)
+
+    @given(entries=_acr_entries(), rates=_RATES)
+    @settings(max_examples=150, deadline=None)
+    def test_acr_shaped(self, entries, rates):
+        net = _net(entries, ("A", "B"))
+        try:
+            allowing = self._check(net, rates)
+        except UnsupportedFamilyError:
+            assume(False)
+        assert allowing.case_tag.family is Family.ACR_REDUCTION
 
 
 class TestDispatchAndProjection:

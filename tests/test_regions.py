@@ -14,6 +14,7 @@ from crnregions.classify import (
     Case,
     Family,
     UnsupportedFamilyError,
+    build_box_diagram,
     classify,
     exponent_groups,
 )
@@ -30,6 +31,7 @@ from crnregions.regions import (
     _limit_denominator,
     connectivity_verdict,
     membership,
+    membership_float,
     oracle_sweep,
     project_to_allowing,
     region_acr_reduction,
@@ -221,6 +223,25 @@ class TestTwoSpeciesRegions:
         enabling, _ = region_two_species_two_reactions(net)
         ((_, main),) = enabling.conjuncts
         assert main.poly.terms == {(1, 0, 2): 1, (0, 1, 0): -2}
+
+    @staticmethod
+    def _cutoff_at_unit_rates(net):
+        # the float guess of _nondegenerate_enabling is 2 c* (or c*/2 when
+        # the region is c < c*) at kappa = kappa~ = 1
+        _, (_, _, c), bigger = regions._nondegenerate_enabling(
+            net, build_box_diagram(net)
+        )
+        return float(c / 2 if bigger else c * 2)
+
+    def test_cutoff_matches_region_boundary(self, running_net):
+        cstar = self._cutoff_at_unit_rates(running_net)
+        enabling, _ = region_two_species_two_reactions(running_net)
+        assert membership_float(enabling, (1.0, 1.0, cstar * 1.01))
+        assert not membership_float(enabling, (1.0, 1.0, cstar * 0.99))
+
+    def test_cutoff_running_example_value(self, running_net):
+        cstar = self._cutoff_at_unit_rates(running_net)
+        assert abs(cstar - 2.0) < 1e-12
 
     def test_cutoff_at_unit_rates(self, running_net):
         # k1 c^2 - 4 k2 > 0: at kappa = kappa~ = 1 the cutoff is c* = 2, itself outside

@@ -385,7 +385,7 @@ def _probe_text(p: dict):
 
 
 _TERM_RE = re.compile(
-    r"\s*(?P<sign>[+-]?)\s*(?P<coeff>\d+(?:/\d+)?)?\s*"
+    r"\s*(?P<sign>[+-]?)\s*(?P<coeff>\d+(?:/0*[1-9]\d*)?)?\s*"
     r"(?:(?P<var>[a-zA-Z]\w*)\s*(?:\^\s*(?P<exp>\d+))?)?"
 )
 

@@ -273,9 +273,6 @@ def count_positive_steady_states(
     subs = [_substitute_rates(f, kappa, n) for f in sys.odes]
     if n == 1:
         return _count(_coefficients(subs[0], 0), Fraction(0), None, lambda r: (r,))
-    if sys.cons.dim == 2:
-        # rank-0 stoichiometric matrix cannot happen: reactions are nonzero
-        raise ValueError("two conserved quantities with two species is impossible")
     if sys.cons.dim == 1:
         return _count_on_line(sys, subs, c[0])
     return _count_full_dimensional(net, subs)

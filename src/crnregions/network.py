@@ -293,7 +293,3 @@ def conservation_matrix(net: ReactionNetwork) -> ConservationMatrix:
         basis.append(vec)
     canon = rref(basis) if basis else []
     return ConservationMatrix(tuple(tuple(row) for row in canon), n)
-
-
-def is_full_dimensional(net: ReactionNetwork) -> bool:
-    return conservation_matrix(net).dim == 0

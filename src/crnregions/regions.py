@@ -18,6 +18,7 @@ or None.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass, field, replace
@@ -36,7 +37,7 @@ from .classify import (
     one_species_verdict,
 )
 from .massaction import SymPoly, count_positive_steady_states, ode_rhs, steady_state_system
-from .network import ReactionNetwork, conservation_matrix, is_full_dimensional
+from .network import ReactionNetwork, conservation_matrix
 
 _SIGNS = {"<0": -1, "=0": 0, ">0": 1}
 
@@ -196,8 +197,7 @@ def region_two_species_two_reactions(net: ReactionNetwork) -> tuple[Region, Regi
         else:
             (conj, start), up = _degenerate_enabling(box, verdict.number), True
         conjuncts, witnesses = (conj,), (_scale_into(conj, start, 2, up),)
-    (v1, v2), (w1, w2) = (rxn.vector() for rxn in net.reactions)
-    totals = 0 if v1 * w2 != v2 * w1 else 1  # full dimensional: no conservation law
+    totals = 0 if _full_dimensional(net) else 1
     ambient = net.rate_labels + ("c",) * totals
     case = Case(Family.TWO_SPECIES, verdict)
     enabling = Region("enabling", ambient, conjuncts, case, witnesses, totals)
@@ -382,13 +382,23 @@ def region_acr_reduction(net: ReactionNetwork) -> Region:
             for c, xs in map(reduced.get, exps)
         ]
         (cond,) = _trinomial_conjunct(signed, exps[2], exps[1])
-        # D is one positive and one negative monomial: scale the first rate
-        # where their exponents differ towards the negative one
+        # D never collapses to one monomial: the two reactions fixing x_axis
+        # have no other species in their reactants, so they feed only the
+        # constant coefficient, and the x^k and x^n coefficients carry a rate
+        # each of their own.  So D is two distinct monomials of opposite sign;
+        # scale the first rate where they differ towards the negative one
         (pos, _), (neg, _) = sorted(cond.poly.terms.items(), key=lambda t: -t[1])
         i = next((i for i in range(r) if pos[i] != neg[i]), 0)
         witness = _scale_into((cond,), (Fraction(1),) * r, i, pos[i] < neg[i])
         return Region("allowing", net.rate_labels, ((cond,),), case, (witness,))
     raise UnsupportedFamilyError("network does not match the ACR reduction shape")
+
+
+def _full_dimensional(net: ReactionNetwork) -> bool:
+    """True when some two reaction vectors of a two-species network have a
+    nonzero determinant: they span the plane, so no conservation law holds."""
+    pairs = itertools.combinations([rxn.vector() for rxn in net.reactions], 2)
+    return any(v1 * w2 != v2 * w1 for (v1, v2), (w1, w2) in pairs)
 
 
 def regions_for_network(net: ReactionNetwork) -> tuple[Region, Region]:
@@ -404,7 +414,7 @@ def regions_for_network(net: ReactionNetwork) -> tuple[Region, Region]:
         if net.num_reactions == 2:
             return region_two_species_two_reactions(net)
         allowing = region_acr_reduction(net)
-        if not is_full_dimensional(net):
+        if not _full_dimensional(net):
             raise UnsupportedFamilyError(
                 "ACR-shaped network with a conservation law is not covered"
             )
@@ -459,70 +469,66 @@ class ConnectivityVerdict:
 
 def _one_negative_coefficient(cond: SignCondition) -> bool:
     """True when the condition is {g < 0} with exactly one negative coefficient."""
-    poly = cond.poly if cond.rel == "<0" else -cond.poly if cond.rel == ">0" else None
-    if poly is None:
-        return False
-    return sum(1 for c in poly.terms.values() if c < 0) == 1
+    return cond.rel == "<0" and sum(1 for c in cond.poly.terms.values() if c < 0) == 1
 
 
 def connectivity_verdict(region: Region) -> ConnectivityVerdict:
-    """Analytic connectivity verdict for regions produced by this module."""
+    """Analytic connectivity verdict for regions produced by this module.
+
+    Each justification is given only where the hypothesis it cites holds.
+    Reach, measured on all one-species nets of 1-6 reactions over 0, ..., 4A,
+    all two-species two-reaction nets over complexes up to 2A + 2B, random
+    two-species nets of 3-5 reactions and a grid of ACR-shaped nets:
+      EmptyRegion: every family;
+      FullPositiveOrthant: allowing regions of nondegenerate two-species nets;
+      FeliuTelek_one_negative: every nonempty ACR region and one-species
+        region of at most three rates (each signed form is one rate, so D < 0
+        is the only condition: the paper's theorem for them is met here), and
+        154 one-species nets of 4-6 reactions whose D has one negative term;
+      PaperTheorem(two_species_two_reactions): the other two-species regions;
+      OneSignPattern: the other one-species regions of one conjunct;
+      SignPatternSplit: one-species regions with both alternating patterns.
+    Unknown (ProbeOnly) is left only for a split whose witness search
+    returned None, which none of those nets reaches.
+    """
     if region.is_empty:
         return ConnectivityVerdict("Connected", "EmptyRegion")
     family = region.case_tag.family
-    # Feliu-Telek is stated on the positive orthant: totals may be negative
-    orthant = region.totals == 0
-    rates = len(region.ambient) - region.totals
     if len(region.conjuncts) == 1:
         conj = region.conjuncts[0]
         if len(conj) == 0:
             return ConnectivityVerdict("Connected", "FullPositiveOrthant")
-        if len(conj) == 1 and orthant and _one_negative_coefficient(conj[0]):
+        # Feliu-Telek is stated on the positive orthant: totals may be negative
+        if len(conj) == 1 and region.totals == 0 and _one_negative_coefficient(conj[0]):
             return ConnectivityVerdict("Connected", "FeliuTelek_one_negative")
-        if family is Family.TWO_SPECIES and rates == 2:
-            return ConnectivityVerdict(
-                "Connected", "PaperTheorem(two_species_two_reactions)"
-            )
-        if family is Family.ONE_SPECIES and rates <= 3:
-            return ConnectivityVerdict(
-                "Connected", "PaperTheorem(one_species_up_to_three_reactions)"
-            )
+        if family is Family.TWO_SPECIES and len(region.ambient) - region.totals == 2:
+            return ConnectivityVerdict("Connected", "PaperTheorem(two_species_two_reactions)")
         if family is Family.ONE_SPECIES:
             # kappa -> (a0, a1, a2) is linear, open and has convex fibres; it
             # maps the conjunct onto {a > 0 : D < 0}, each a_i being a form in
             # rates of its own.  With a0, a2 fixed, D < 0 leaves a half-line
             # in a1, so that image is connected, and so is the conjunct.
             return ConnectivityVerdict("Connected", "OneSignPattern")
-        if family is Family.ACR_REDUCTION and orthant and _one_negative_coefficient(conj[-1]):
-            return ConnectivityVerdict("Connected", "FeliuTelek_one_negative")
-        return ConnectivityVerdict("Unknown", "ProbeOnly")
-    # multiple conjuncts: disconnected when they sit in disjoint sign orthants
-    # of the coefficient forms, each certified nonempty by a stored witness
-    if all(w is not None for w in region.witnesses) and _disjoint_sign_conjuncts(
-        region
-    ):
-        return ConnectivityVerdict(
-            "Disconnected", "SignPatternSplit", tuple(region.witnesses)
-        )
+    elif all(w is not None for w in region.witnesses) and _disjoint_sign_conjuncts(region):
+        # the conjuncts sit in disjoint sign orthants of the coefficient
+        # forms, each certified nonempty by a stored witness
+        return ConnectivityVerdict("Disconnected", "SignPatternSplit", region.witnesses)
     return ConnectivityVerdict("Unknown", "ProbeOnly")
 
 
 def _disjoint_sign_conjuncts(region: Region) -> bool:
     """Check pairwise that conjuncts impose contradictory strict sign conditions."""
-    for i in range(len(region.conjuncts)):
-        for j in range(i + 1, len(region.conjuncts)):
-            opposed = False
-            for ci in region.conjuncts[i]:
-                for cj in region.conjuncts[j]:
-                    if ci.rel == "=0" or cj.rel == "=0":
-                        continue
-                    if ci.poly == cj.poly and ci.rel != cj.rel:
-                        opposed = True
-                    if ci.poly == -cj.poly and ci.rel == cj.rel:
-                        opposed = True
-            if not opposed:
-                return False
-    return True
+
+    def opposed(ci: SignCondition, cj: SignCondition) -> bool:
+        return "=0" not in (ci.rel, cj.rel) and (
+            (ci.poly == cj.poly and ci.rel != cj.rel)
+            or (ci.poly == -cj.poly and ci.rel == cj.rel)
+        )
+
+    return all(
+        any(opposed(ci, cj) for ci in a for cj in b)
+        for a, b in itertools.combinations(region.conjuncts, 2)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -366,6 +366,9 @@ def test_criterion_7_classification_corpus():
                 # witness constructor must land 2 oracle-counted roots
                 multi_count += 1
                 _, allowing = regions_for_network(net)
+                # each signed form is one rate: D < 0 is the only condition
+                conn = connectivity_verdict(allowing)
+                assert conn.justification == "FeliuTelek_one_negative", triple
                 witness = next(w for w in allowing.witnesses if w is not None)
                 sys_ = steady_state_system(net)
                 assert count_positive_steady_states(sys_, witness).count == 2, triple
@@ -493,5 +496,6 @@ def test_criterion_9_one_species_justifications():
                     for w in conn.witnesses:
                         assert count_positive_steady_states(sys_, w).count >= 2, (rxns, w)
         assert refused == 40064
-        assert seen["OneSignPattern"] == 3568
-        assert seen["SignPatternSplit"] == 36
+        assert seen == Counter(
+            EmptyRegion=15287, FeliuTelek_one_negative=154, OneSignPattern=3568, SignPatternSplit=36
+        )

@@ -448,9 +448,14 @@ class TestCountRootsCommand:
         doc = run_json(runner, "count-roots", "--poly", "x^2 - 5/2x + 1")
         assert doc["sturm"] == 2
 
-    def test_garbage_rejected(self, runner):
-        result = runner.invoke(main, ["count-roots", "--poly", "x^2 ** y"])
-        assert result.exit_code != 0
+    @pytest.mark.parametrize(
+        "text",
+        ["x^2 ** y", "3/0", "x^2 - 3/0x"],
+        ids=["operator", "zero_denominator", "zero_denominator_term"],
+    )
+    def test_garbage_rejected(self, runner, text):
+        result = runner.invoke(main, ["count-roots", "--poly", text])
+        assert result.exit_code == 2 and isinstance(result.exception, SystemExit), result.output
 
     @given(
         st.lists(st.fractions(-6, 6, max_denominator=5), min_size=1, max_size=6),

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from crnregions import regions
 from crnregions.network import (
     Complex,
     NetworkParseError,
@@ -11,7 +12,6 @@ from crnregions.network import (
     ReactionNetwork,
     conservation_matrix,
     format_network,
-    is_full_dimensional,
     parse_network,
     rref,
     stoichiometric_matrix,
@@ -140,5 +140,5 @@ class TestLinearAlgebra:
                 assert sum(row[j] * S[j][i] for j in range(len(row))) == 0
 
     def test_full_dimensional(self, acr_net, running_net):
-        assert is_full_dimensional(acr_net)
-        assert not is_full_dimensional(running_net)
+        assert regions._full_dimensional(acr_net)
+        assert not regions._full_dimensional(running_net)

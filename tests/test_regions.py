@@ -477,6 +477,13 @@ class TestTrinomialRegionsAgainstOracle:
 
     @given(entries=_acr_entries(), rates=_RATES)
     @settings(max_examples=150, deadline=None)
+    # acr.crn: a nonempty region
+    @example(
+        entries=[
+            ((1, 0), (1, 1)), ((1, 1), (1, 0)), ((0, 2), (0, 3)), ((1, 0), (2, 0)), ((2, 0), (1, 0))
+        ],
+        rates=[Fraction(1)] * 6,
+    )
     def test_acr_shaped(self, entries, rates):
         net = _net(entries, ("A", "B"))
         try:
@@ -484,6 +491,13 @@ class TestTrinomialRegionsAgainstOracle:
         except UnsupportedFamilyError:
             assume(False)
         assert allowing.case_tag.family is Family.ACR_REDUCTION
+        if not allowing.is_empty:
+            # D is two monomials of opposite sign, never one: the witness
+            # exists and Feliu-Telek applies
+            ((cond,),), (witness,) = allowing.conjuncts, allowing.witnesses
+            assert sorted(c > 0 for c in cond.poly.terms.values()) == [False, True], cond
+            assert witness is not None
+            assert connectivity_verdict(allowing).justification == "FeliuTelek_one_negative"
 
 
 class TestDispatchAndProjection:
@@ -545,13 +559,10 @@ class TestConnectivity:
         for w in v.witnesses:
             assert membership(allowing, w)
 
-    @pytest.mark.parametrize("extra", [0, 1], ids=["one_condition", "acr_last_condition"])
-    def test_one_negative_rule_needs_the_positive_orthant(self, extra):
-        # k1 c - k2 < 0 has one negative coefficient, but c may be negative;
-        # alone it meets the generic rule, after k1 > 0 the acr_reduction one
+    def test_one_negative_rule_needs_the_positive_orthant(self):
+        # k1 c - k2 < 0 has one negative coefficient, but c may be negative
         k1, k2, c = (SymPoly.symbol(3, i) for i in range(3))
-        cond = SignCondition(k1 * c - k2, "<0")
-        conj = (SignCondition(k1, ">0"),) * extra + (cond,)
+        conj = (SignCondition(k1 * c - k2, "<0"),)
         ambient = ("k1", "k2", "c")
         for totals in (0, 1):
             region = Region(

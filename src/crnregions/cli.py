@@ -392,7 +392,8 @@ _TERM_RE = re.compile(
 
 def _parse_poly(text: str) -> UniPoly:
     """Parse strings like "x^2 - 3x + 2" into a UniPoly, scaled to integer
-    coefficients by the lcm of the denominators."""
+    coefficients by the lcm of the denominators.  Every term after the first
+    starts with + or -."""
     coeffs: dict[int, Fraction] = {}
     pos = 0
     var_name = None
@@ -401,7 +402,7 @@ def _parse_poly(text: str) -> UniPoly:
         raise click.BadParameter("empty polynomial")
     while pos < len(text):
         m = _TERM_RE.match(text, pos)
-        if not m or m.end() == pos:
+        if not m or m.end() == pos or (pos and not m.group("sign")):
             raise click.BadParameter(f"cannot parse polynomial near {text[pos:]!r}")
         sign = -1 if m.group("sign") == "-" else 1
         coeff = Fraction(m.group("coeff")) if m.group("coeff") else Fraction(1)

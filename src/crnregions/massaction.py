@@ -4,19 +4,19 @@ SymPoly is the one sparse multivariate type: region conditions over the rates
 and totals, and ODEs over the concentrations followed by the rates.  Its one
 exact evaluator, SymPoly.term_values, binds trailing symbols to rationals.
 
-The oracle handles networks with at most two species, reducing every case
-to exact univariate root counting:
+The oracle handles networks with at most two species.  Every count it
+makes is a Sturm count of one ODE along one rational line, x_axis = t > 0
+and x_other = a + b*t > 0 (_on_line, _count_line):
 
-* one species: substitute rates, Sturm-count positive roots;
-* two species with a conservation law: substitute the compatibility-class
-  line into one ODE and count on the segment where both coordinates are
-  positive;
+* one species: substitute rates, Sturm-count positive roots in x;
+* two species with a conservation law: the compatibility class is the line,
+  counted on the t-interval where both coordinates are positive;
 * two species, full dimensional: two reactions have independent reaction
   vectors and no positive steady state.  Otherwise one ODE must pin a
   coordinate, either one: it is a monomial times a polynomial in that
-  coordinate whose positive roots are all rational.  Each root is
-  substituted into the other ODE, whose positive roots are Sturm-counted.
-  Where no coordinate is pinned this way the oracle raises
+  coordinate whose positive roots are all rational.  Each root r gives the
+  line x_pinned = r, along which the other ODE's positive roots are
+  Sturm-counted.  Where no coordinate is pinned this way the oracle raises
   UnsupportedFamilyError instead of approximating.
 
 Counts are exact and without multiplicity.  Multiple roots and steady-state
@@ -237,16 +237,6 @@ class SteadyStateCount:
         return self.find_witnesses()
 
 
-def _coefficients(sub: dict[tuple[int, ...], int], axis: int) -> list[int]:
-    """Coefficients in x_axis, ascending, summed over the other exponent."""
-    cs = [0] * (max((xe[axis] for xe in sub), default=-1) + 1)
-    for xe, c in sub.items():
-        cs[xe[axis]] += c
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return cs
-
-
 def count_positive_steady_states(
     sys: SteadyStateSystem, kappa: tuple, c: tuple = ()
 ) -> SteadyStateCount:
@@ -272,9 +262,14 @@ def count_positive_steady_states(
 
     subs = [_substitute_rates(f, kappa, n) for f in sys.odes]
     if n == 1:
-        return _count(_coefficients(subs[0], 0), Fraction(0), None, lambda r: (r,))
+        return _count(_on_line(subs[0], 0, 1, 0), Fraction(0), None, lambda r: (r,))
     if sys.cons.dim == 1:
-        return _count_on_line(sys, subs, c[0])
+        # the class w.x = c of the RREF row w, on an ODE that is not zero if
+        # one is: x2 = (c - w1 x1)/w2, or x1 = c when w = (1, 0)
+        (w1, w2), sub = sys.cons.rows[0], subs[0] or subs[1]
+        if w2:
+            return _count_line(sub, 0, c[0] / w2, -w1 / w2)
+        return _count_line(sub, 1, c[0], 0)
     return _count_full_dimensional(net, subs)
 
 
@@ -295,8 +290,8 @@ def _count(
     coordinate free: a continuum, sampled at the midpoint of (lo, hi) and at
     the midpoint of the half above it."""
     if not cs:
-        mid = _segment_midpoint(lo, hi)
-        mid2 = _segment_midpoint(mid, hi)
+        mid = lo + 1 if hi is None else (lo + hi) / 2
+        mid2 = mid + 1 if hi is None else (mid + hi) / 2
         return SteadyStateCount(2, lambda: [point(mid), point(mid2)], continuum=True)
     p = UniPoly(cs)
     count = sturm_count_open_interval(p, lo, hi)
@@ -307,79 +302,51 @@ def _count(
     )
 
 
-def _count_on_line(sys: SteadyStateSystem, subs, cval: Fraction) -> SteadyStateCount:
-    w = sys.cons.rows[0]  # RREF: leading entry is 1
-    # pick an ODE that is not identically zero, if there is one
-    idx = 0 if subs[0] else 1
-    if w[1] != 0:
-        # x2 = (c - w1*x1)/w2; both coordinates positive on an open x1-interval
-        a0, b0 = cval / w[1], -w[0] / w[1]
-        lo, hi = _positive_segment(w, cval)
-        if lo is None:
-            return SteadyStateCount(0, list)
-        cs = _substitute_line(subs[idx], a0, b0)
-        return _count(cs, lo, hi, lambda r: (r, a0 + b0 * r))
-    # w = [1, 0]: class fixes x1 = c; reduce to a univariate in x2
-    if cval <= 0:
-        return SteadyStateCount(0, list)
-    cs = _substitute_axis(subs[idx], axis=0, value=cval)
-    return _count(cs, Fraction(0), None, lambda r: (cval, r))
+def _on_line(sub: dict[tuple[int, ...], int], axis: int, a: Fraction, b: Fraction) -> list[int]:
+    """Integer coefficients in t, ascending, of sub at x_axis = t and
+    x_other = a + b*t.
 
-
-def _segment_midpoint(lo: Fraction, hi: Fraction | None) -> Fraction:
-    return lo + 1 if hi is None else (lo + hi) / 2
-
-
-def _positive_segment(w, cval: Fraction):
-    """Open x1-interval where x1 > 0 and x2 = (c - w1 x1)/w2 > 0; (None, None) if empty."""
-    w1, w2 = w
-    lo, hi = Fraction(0), None
-    # constraint: (c - w1*x1)/w2 > 0
-    if w1 == 0:
-        if (cval / w2) <= 0:
-            return None, None
-    else:
-        bound = cval / w1
-        if (w1 / w2) > 0:
-            # x1 < c/w1 required (dividing flips nothing: w2>0*...)
-            if bound <= 0:
-                return None, None
-            hi = bound
-        else:
-            lo = max(lo, bound)
-    return lo, hi
-
-
-def _substitute_line(sub: dict[tuple[int, ...], int], a0: Fraction, b0: Fraction) -> list[int]:
-    """Integer coefficients in x1 of sub at x2 = a0 + b0*x1.
-
-    With a0 + b0*x1 = (A + B*x1)/M, a term c x1^i x2^j becomes
-    c x1^i (A + B*x1)^j M^(E-j), E the largest j: the polynomial times M^E.
+    A term's exponent of x_other is sum(xe) - xe[axis], 0 for one species.
+    With a + b*t = (A + B*t)/M, a term c t^i x_other^j becomes
+    c t^i (A + B*t)^j M^(E-j), E the largest j: the polynomial times M^E.
     """
     if not sub:
         return []
-    M = math.lcm(a0.denominator, b0.denominator)
-    A, B = a0.numerator * (M // a0.denominator), b0.numerator * (M // b0.denominator)
-    E = max(xe[1] for xe in sub)
-    powers = [[1]]  # (A + B*x1)^j
+    M = math.lcm(a.denominator, b.denominator)
+    A, B = a.numerator * (M // a.denominator), b.numerator * (M // b.denominator)
+    terms = []  # (i, j, c)
+    E = top = 0
+    for xe, c in sub.items():
+        i = xe[axis]
+        j = sum(xe) - i
+        terms.append((i, j, c))
+        if j > E:
+            E = j
+        if i + j > top:
+            top = i + j
+    scaled = [[M**E]]  # M^(E-j) (A + B*t)^j, ascending in t
     for _ in range(E):
-        prev = powers[-1]
-        powers.append([A * u + B * v for u, v in zip(prev + [0], [0] + prev)])
-    cs = [0] * (max(i + j for i, j in sub) + 1)
-    for (i, j), c in sub.items():
-        f = c * M ** (E - j)
-        for k, v in enumerate(powers[j]):
-            cs[i + k] += f * v
+        prev = scaled[-1]
+        scaled.append([(A * u + B * v) // M for u, v in zip(prev + [0], [0] + prev)])
+    cs = [0] * (top + 1)
+    for i, j, c in terms:
+        for k, v in enumerate(scaled[j], i):
+            cs[k] += c * v
     while cs and cs[-1] == 0:
         cs.pop()
     return cs
 
 
-def _substitute_axis(sub: dict[tuple[int, ...], int], axis: int, value: Fraction) -> list[int]:
-    """Integer coefficients in the other coordinate of sub at x_axis = value."""
-    if axis == 0:
-        sub = {(x2, x1): c for (x1, x2), c in sub.items()}
-    return _substitute_line(sub, value, Fraction(0))
+def _count_line(
+    sub: dict[tuple[int, ...], int], axis: int, a: Fraction, b: Fraction
+) -> SteadyStateCount:
+    """Steady states of the ODE sub with x_axis = t > 0 and x_other = a + b*t > 0."""
+    if a <= 0 and b <= 0:
+        return SteadyStateCount(0, list)  # x_other <= 0 for every t > 0
+    lo = max(Fraction(0), -a / b) if b > 0 else Fraction(0)
+    hi = -a / b if b < 0 else None
+    point = (lambda t: (t, a + b * t)) if axis == 0 else (lambda t: (a + b * t, t))
+    return _count(_on_line(sub, axis, a, b), lo, hi, point)
 
 
 def _count_full_dimensional(net: ReactionNetwork, subs) -> SteadyStateCount:
@@ -389,35 +356,27 @@ def _count_full_dimensional(net: ReactionNetwork, subs) -> SteadyStateCount:
         return SteadyStateCount(0, list)
     for axis in (0, 1):
         other = 1 - axis
-        # an ODE x_other^s * p(x_axis) pins x_axis to the positive roots of p
+        # an ODE x_other^s * p(x_axis) pins x_axis to the positive roots of
+        # p, the ODE at x_other = 1
         pins = [j for j in (0, 1) if len({xe[other] for xe in subs[j]}) <= 1]
         if len(pins) == 2:
             # both ODEs pin x_axis: x_other is free at each common positive root
-            g = UniPoly(_coefficients(subs[0], axis)).gcd(
-                UniPoly(_coefficients(subs[1], axis))
-            )
+            g = UniPoly(_on_line(subs[0], axis, 1, 0)).gcd(UniPoly(_on_line(subs[1], axis, 1, 0)))
             # pin x_axis at the first common positive root; a zero g (both
             # ODEs vanish) frees x_axis too, and _count samples it first at 1
             common = _count(g.coeffs, Fraction(0), None, lambda r: r)
             if not common.count:
                 return SteadyStateCount(0, list)
-            return _count(
-                (), Fraction(0), None, lambda r: _point(axis, common.witnesses[0], r)
-            )
+            return _count_line({}, other, common.witnesses[0], 0)
         if not pins or not subs[pins[0]]:
             continue
-        roots = isolate_positive_roots(UniPoly(_coefficients(subs[pins[0]], axis)))
+        roots = isolate_positive_roots(UniPoly(_on_line(subs[pins[0]], axis, 1, 0)))
         if any(a != b for a, b in roots):
             continue  # an irrational pin: try the other coordinate
         g = subs[1 - pins[0]]
         parts = []
-        for a, _ in roots:
-            part = _count(
-                _substitute_axis(g, axis=axis, value=a),
-                Fraction(0),
-                None,
-                lambda r, a=a: _point(axis, a, r),
-            )
+        for r, _ in roots:
+            part = _count_line(g, other, r, 0)
             if part.continuum:
                 return part
             parts.append(part)
@@ -429,8 +388,3 @@ def _count_full_dimensional(net: ReactionNetwork, subs) -> SteadyStateCount:
     raise UnsupportedFamilyError(
         "no ODE pins a coordinate to rational values; the oracle does not cover this network"
     )
-
-
-def _point(axis: int, pinned: Fraction, free: Fraction) -> tuple[Fraction, Fraction]:
-    """(x1, x2) from the pinned coordinate x_axis and the other one."""
-    return (pinned, free) if axis == 0 else (free, pinned)

@@ -193,9 +193,13 @@ def parse_network(text: str) -> ReactionNetwork:
 
     reactions = []
     auto = 0
+    explicit = {label for _, _, label in raw}
     for lhs, rhs, label in raw:
         if label is None:
+            # k1, k2, ... skipping the labels the file gives
             auto += 1
+            while f"k{auto}" in explicit:
+                auto += 1
             label = f"k{auto}"
         reactant, product = to_complex(lhs), to_complex(rhs)
         if reactant == product:

@@ -334,11 +334,17 @@ def root_upper_bound(p: UniPoly) -> Fraction:
     return 1 + Fraction(m, abs(p.leading()))
 
 
-def rational_roots(p: UniPoly, divisor_bound: int = 10**7) -> list[Fraction]:
+# rational_roots skips its divisor search above this constant or leading
+# coefficient; refine_root bisects down to this width relative to the root
+DIVISOR_BOUND = 10**7
+REL_WIDTH = Fraction(1, 10**12)
+
+
+def rational_roots(p: UniPoly) -> list[Fraction]:
     """Rational roots of p (without multiplicity), by the rational root test.
 
     Enumerating divisors is only feasible for moderate coefficients; when
-    the constant or leading coefficient exceeds divisor_bound the search
+    the constant or leading coefficient exceeds DIVISOR_BOUND the search
     is skipped (callers fall back to isolating intervals).
     """
     q, v = p.strip_root_at_zero()
@@ -360,7 +366,7 @@ def rational_roots(p: UniPoly, divisor_bound: int = 10**7) -> list[Fraction]:
         roots.extend({Fraction(-c1 + s, 2 * c2), Fraction(-c1 - s, 2 * c2)})
         return roots
     a0, an = abs(cs[0]), abs(cs[-1])
-    if a0 > divisor_bound or an > divisor_bound:
+    if a0 > DIVISOR_BOUND or an > DIVISOR_BOUND:
         return roots
     for s in _divisors(a0):
         for t in _divisors(an):
@@ -430,9 +436,9 @@ def isolate_positive_roots(p: UniPoly,
     return intervals
 
 
-def refine_root(p: UniPoly, a: Fraction, b: Fraction, rel_width: Fraction = Fraction(1, 10**12),
+def refine_root(p: UniPoly, a: Fraction, b: Fraction,
                 squarefree: UniPoly | None = None) -> Fraction:
-    """Bisect the isolating interval (a, b) down to relative width rel_width.
+    """Bisect the isolating interval (a, b) down to relative width REL_WIDTH.
 
     Bisects the squarefree part of p on dyadic midpoints, held as integer
     numerators over one common denominator; the result is the same rational
@@ -450,8 +456,7 @@ def refine_root(p: UniPoly, a: Fraction, b: Fraction, rel_width: Fraction = Frac
         return a
     if _sign_at(sf, bn, den) == 0:
         return b
-    rel_width = Fraction(rel_width)
-    rn, rd = rel_width.numerator, rel_width.denominator
+    rn, rd = REL_WIDTH.numerator, REL_WIDTH.denominator
     while (bn - an) * rd > rn * max(abs(an), abs(bn), den):
         mn = an + bn
         an, bn, den = 2 * an, 2 * bn, 2 * den

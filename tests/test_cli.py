@@ -84,6 +84,12 @@ class TestParseCommand:
         result = runner.invoke(main, ["parse", str(bad)])
         assert result.exit_code == 2
 
+    def test_repeated_label_exit_2(self, runner, tmp_path):
+        bad = tmp_path / "bad.crn"
+        bad.write_text("A -> 0; k1\n2A -> 3A; k1\n")
+        result = runner.invoke(main, ["parse", str(bad)])
+        assert result.exit_code == 2 and "duplicate rate label" in result.output
+
 
 # analyze's classification block per bundled net: (matched_case,
 # multistationary, nondegenerate, detail), or None outside the families
@@ -448,10 +454,16 @@ class TestCountRootsCommand:
         doc = run_json(runner, "count-roots", "--poly", "x^2 - 5/2x + 1")
         assert doc["sturm"] == 2
 
+    @pytest.mark.parametrize("text, sturm", [("3 x", 0), ("-x^2 + 1", 1)])
+    def test_signed_terms_parse(self, runner, text, sturm):
+        assert run_json(runner, "count-roots", "--poly", text)["sturm"] == sturm
+
     @pytest.mark.parametrize(
         "text",
-        ["x^2 ** y", "3/0", "x^2 - 3/0x"],
-        ids=["operator", "zero_denominator", "zero_denominator_term"],
+        ["x^2 ** y", "3/0", "x^2 - 3/0x", "x^2 3x", "2 3"],
+        ids=[
+            "operator", "zero_denominator", "zero_denominator_term", "no_sign", "no_sign_constants"
+        ],
     )
     def test_garbage_rejected(self, runner, text):
         result = runner.invoke(main, ["count-roots", "--poly", text])

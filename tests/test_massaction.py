@@ -407,10 +407,17 @@ def _fraction_oracle(net, kappa, c):
                 for _ in range(j):  # times (a0 + b0 x1)
                     term = [a0 * u + b0 * t for u, t in zip(term + [0], [0] + term)]
                 cs = [u + t for u, t in zip_longest(cs, term, fillvalue=0)]
-            lo, hi = massaction._positive_segment(w, cval)
-            point = lambda r: (r, a0 + b0 * r)  # noqa: E731
-            if lo is None:
+            # x1 > 0 and x2 = a0 + b0 x1 > 0 on the open interval (lo, hi)
+            lo, hi = Fraction(0), None
+            if b0 > 0:
+                lo = max(lo, -a0 / b0)
+            elif b0 < 0:
+                hi = -a0 / b0
+            elif a0 <= 0:
                 return 0, False, False, []
+            if hi is not None and hi <= lo:
+                return 0, False, False, []
+            point = lambda r: (r, a0 + b0 * r)  # noqa: E731
         else:
             if cval <= 0:
                 return 0, False, False, []

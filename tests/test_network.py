@@ -31,6 +31,14 @@ class TestParsing:
         assert net.reactions[0].reactant.is_zero()
         assert net.rate_labels == ("k1", "k2")
 
+    def test_auto_labels_skip_explicit_ones(self):
+        net = parse_network("A -> 0; k1\n2A -> 3A; k2\n4A -> 3A")
+        assert net.rate_labels == ("k1", "k2", "k3")
+
+    def test_auto_label_skips_a_later_explicit_one(self):
+        net = parse_network("A -> 0\n2A -> 3A; k1")
+        assert net.rate_labels == ("k2", "k1")
+
     def test_chained_arrows(self):
         net = parse_network("0 <- A, 2A -> 3A <- 4A")
         assert net.num_reactions == 3

@@ -143,7 +143,6 @@ class BoxDiagram:
     y: tuple[int, int]
     y_prime: tuple[int, int]
     y_tilde: tuple[int, int]
-    y_tilde_prime: tuple[int, int]
     gamma: Fraction | None
     alpha: Fraction | None
     lam: Fraction | None
@@ -171,7 +170,7 @@ def build_box_diagram(net: ReactionNetwork) -> BoxDiagram:
         raise UnsupportedFamilyError("box diagram requires 2 species and 2 reactions")
     r1, r2 = net.reactions
     y, yp = r1.reactant.coeffs, r1.product.coeffs
-    yt, ytp = r2.reactant.coeffs, r2.product.coeffs
+    yt = r2.reactant.coeffs
     v = r1.vector()
     gamma = Fraction(v[1], v[0]) if v[0] != 0 else None
     alpha = (
@@ -187,7 +186,7 @@ def build_box_diagram(net: ReactionNetwork) -> BoxDiagram:
             zigzag = 1 if low_vec[0] > 0 else 2
         else:
             zigzag = 3 if low_vec[0] < 0 else 4
-    return BoxDiagram(y, yp, yt, ytp, gamma, alpha, lam, zigzag)
+    return BoxDiagram(y, yp, yt, gamma, alpha, lam, zigzag)
 
 
 def classify_box(box: BoxDiagram) -> ClassificationVerdict:

@@ -33,15 +33,9 @@ from .regions import (
     oracle_sweep,
     region_to_json,
     regions_for_network,
-)
-from .unipoly import (
-    TrinomialForm,
-    UniPoly,
-    descartes_sign_changes,
-    sturm_count_positive,
     trinomial_D,
-    trinomial_positive_roots,
 )
+from .unipoly import UniPoly, descartes_sign_changes, sturm_count_positive
 
 SCHEMA_VERSION = 1
 
@@ -63,6 +57,8 @@ def _load_network(path: str):
             text = fh.read()
     except OSError as exc:
         _fail(f"error: {exc}", EXIT_PARSE)
+    except UnicodeDecodeError as exc:
+        _fail(f"error: cannot decode {path}: {exc}", EXIT_PARSE)
     try:
         return parse_network(text)
     except NetworkParseError as exc:
@@ -422,8 +418,9 @@ def _parse_poly(text: str) -> UniPoly:
     return UniPoly.from_rationals(coeffs.get(i, 0) for i in range(deg + 1))
 
 
-def _as_trinomial(p: UniPoly) -> TrinomialForm | None:
-    """Match x^n - c x^k + b (after monic normalization) or return None."""
+def _trinomial_D(p: UniPoly) -> Fraction | None:
+    """trinomial_D(b, c, 1, n, k) when p divided by its leading coefficient
+    is x^n - c x^k + b with b, c > 0, else None."""
     support = [i for i, c in enumerate(p.coeffs) if c != 0]
     if len(support) != 3 or support[0] != 0:
         return None
@@ -432,7 +429,7 @@ def _as_trinomial(p: UniPoly) -> TrinomialForm | None:
     b, c = Fraction(p.coeffs[0], lead), Fraction(-p.coeffs[k], lead)
     if b <= 0 or c <= 0:
         return None
-    return TrinomialForm(n, k, b, c)
+    return trinomial_D(b, c, 1, n, k)
 
 
 @main.command("count-roots")
@@ -449,10 +446,11 @@ def cmd_count_roots(poly: str, fmt: str) -> None:
         "descartes_bound": descartes_sign_changes(p),
         "sturm": sturm_count_positive(p),
     }
-    tri = _as_trinomial(p)
-    if tri is not None:
-        payload["trichotomy"] = trinomial_positive_roots(tri)
-        payload["trinomial_D"] = str(trinomial_D(tri))
+    D = _trinomial_D(p)
+    if D is not None:
+        # two positive roots when D < 0, a double one when D = 0, none when D > 0
+        payload["trichotomy"] = 2 if D < 0 else 1 if D == 0 else 0
+        payload["trinomial_D"] = str(D)
     else:
         payload["trichotomy"] = None
     _emit(payload, fmt, _roots_text)

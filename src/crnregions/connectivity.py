@@ -38,15 +38,16 @@ from typing import Sequence, TextIO
 
 from .regions import _SIGNS, Region
 
+LINK_RADIUS = 1.0  # hits this close in sampling coordinates are link candidates
+SEGMENT_CHECKS = 32  # interior checkpoints of each segment test
+MERGE_RESTARTS = 64  # one-waypoint tries per pair of representatives
+
 
 @dataclass(frozen=True)
 class ProbeConfig:
     seed: int = 42
     n_samples: int = 4000
     box: tuple[float, float] = (1 / 16, 16.0)
-    link_radius: float = 1.0
-    segment_checks: int = 32
-    merge_restarts: int = 64
 
     def __post_init__(self) -> None:
         lo, hi = self.box
@@ -54,12 +55,6 @@ class ProbeConfig:
             raise ValueError("box must satisfy 0 < lo < hi")
         if self.n_samples < 2:
             raise ValueError("n_samples must be at least 2")
-        if self.segment_checks < 1:
-            raise ValueError("segment_checks must be at least 1")
-        if not self.link_radius > 0:
-            raise ValueError("link_radius must be positive")
-        if self.merge_restarts < 0:
-            raise ValueError("merge_restarts must be at least 0")
 
 
 @dataclass(frozen=True)
@@ -159,17 +154,18 @@ def _checkpoint_tables(region: Region) -> list[list[tuple[int, list]]]:
     ]
 
 
-def _holds_along(rel: int, terms: list, cp, cq, checks: int) -> bool:
-    """The condition holds at cp + t (cq - cp) for t = j / (checks + 1), 0 < j <=
-    checks; one exp per term, of log|c| + e·cp + t e·(cq - cp) over the rates."""
+def _holds_along(rel: int, terms: list, cp, cq) -> bool:
+    """The condition holds at cp + t (cq - cp) for t = j / (SEGMENT_CHECKS + 1),
+    0 < j <= SEGMENT_CHECKS; one exp per term, of log|c| + e·cp + t e·(cq - cp)
+    over the rates."""
     line = [
         (s, lc + sum(x * u for x, u in zip(er, cp)),
          sum(x * (v - u) for x, u, v in zip(er, cp, cq)),
          [(cp[i], cq[i] - cp[i], x) for i, x in tots])
         for s, lc, er, tots in terms
     ]
-    for j in range(1, checks + 1):
-        t, v = j / (checks + 1), 0.0
+    for j in range(1, SEGMENT_CHECKS + 1):
+        t, v = j / (SEGMENT_CHECKS + 1), 0.0
         for s, a, b, tots in line:
             w = s * math.exp(a + t * b)
             for c0, dc, x in tots:
@@ -180,7 +176,7 @@ def _holds_along(rel: int, terms: list, cp, cq, checks: int) -> bool:
     return True
 
 
-def _segment_inside(tables: list, cp, cq, live: set[int], checks: int) -> bool:
+def _segment_inside(tables: list, cp, cq, live: set[int]) -> bool:
     """Check the segment from cp to cq (sampling coordinates) stays inside
     one of the conjuncts live, those that hold at both endpoints.
 
@@ -189,7 +185,7 @@ def _segment_inside(tables: list, cp, cq, live: set[int], checks: int) -> bool:
     disjoint conjuncts of a union.  This is conservative — it can split
     components that overlap across conjuncts, but never falsely joins.
     """
-    return any(all(_holds_along(*c, cp, cq, checks) for c in tables[i]) for i in live)
+    return any(all(_holds_along(*c, cp, cq) for c in tables[i]) for i in live)
 
 
 def _cell_neighbours(coords: list[tuple[float, ...]], radius: float) -> list[list[int]]:
@@ -250,11 +246,11 @@ def probe(region: Region, config: ProbeConfig = ProbeConfig()) -> ProbeReport:
     uf = _UnionFind(len(hits))
     tables = _checkpoint_tables(region)
     coords = [_coords(region, h) for h in hits]
-    r2 = config.link_radius**2
+    r2 = LINK_RADIUS**2
     edges = 0
     # pairs in (i, j) order, as over all pairs: edge_count depends on it.
     # ri is i's root, kept current across the unions i takes part in.
-    for i, near in enumerate(_cell_neighbours(coords, config.link_radius)):
+    for i, near in enumerate(_cell_neighbours(coords, LINK_RADIUS)):
         later = near[bisect.bisect_right(near, i):]
         d2s = _squared_distances(coords[i], [coords[j] for j in later])
         ri = uf.find(i)
@@ -265,9 +261,7 @@ def probe(region: Region, config: ProbeConfig = ProbeConfig()) -> ProbeReport:
             if ri == rj:
                 edges += 1
                 continue
-            if _segment_inside(
-                tables, coords[i], coords[j], conj[i] & conj[j], config.segment_checks
-            ):
+            if _segment_inside(tables, coords[i], coords[j], conj[i] & conj[j]):
                 uf.union(i, j)
                 ri = rj
                 edges += 1
@@ -280,14 +274,14 @@ def probe(region: Region, config: ProbeConfig = ProbeConfig()) -> ProbeReport:
     reps = _component_reps(uf, len(hits))
     held = {uf.find(a): conj[a] for a in reps}
     shared = sum(map(len, held.values())) - len(set().union(*held.values()))
-    search = (rng, config.merge_restarts, config.segment_checks, config.box)
     for a, b in itertools.product(reps, repeat=2):
         if not shared:
             break
         ra, rb = uf.find(a), uf.find(b)
         if ra == rb or not (conj[a] & conj[b]):
             continue
-        if _find_path(region, tables, hits[a], hits[b], conj[a], conj[b], *search) is None:
+        path = _find_path(region, tables, hits[a], hits[b], conj[a], conj[b], rng, config.box)
+        if path is None:
             continue
         uf.union(a, b)
         shared -= len(held[ra] & held[rb])
@@ -316,38 +310,33 @@ def _component_reps(uf: _UnionFind, n: int) -> list[int]:
 
 def _find_path(
     region: Region, tables: list, p, q, sp: set[int], sq: set[int], rng: random.Random,
-    restarts: int, checks: int, box: tuple[float, float],
+    box: tuple[float, float],
 ) -> list[tuple[float, ...]] | None:
-    """The direct segment, else the first of up to `restarts` one-waypoint
+    """The direct segment, else the first of up to MERGE_RESTARTS one-waypoint
     paths through sampled points in the box; None when none stays inside.
     sp and sq are the conjuncts that hold at p and at q."""
     cp, cq = _coords(region, p), _coords(region, q)
-    if _segment_inside(tables, cp, cq, sp & sq, checks):
+    if _segment_inside(tables, cp, cq, sp & sq):
         return [p, q]
     lo, hi = box
-    for _ in range(restarts):
+    for _ in range(MERGE_RESTARTS):
         w = _sample_point(rng, region, lo, hi)
         sw = _conjunct_indices(region, w)
         if not sw:
             continue
         cw = _coords(region, w)
-        if _segment_inside(tables, cp, cw, sp & sw, checks) and _segment_inside(
-            tables, cw, cq, sw & sq, checks
+        if _segment_inside(tables, cp, cw, sp & sw) and _segment_inside(
+            tables, cw, cq, sw & sq
         ):
             return [p, w, q]
     return None
 
 
 def connect_witnesses(
-    region: Region,
-    p: Sequence[float],
-    q: Sequence[float],
-    seed: int = ProbeConfig.seed,
-    restarts: int = ProbeConfig.merge_restarts,
-    segment_checks: int = ProbeConfig.segment_checks,
-    box: tuple[float, float] = ProbeConfig.box,
+    region: Region, p: Sequence[float], q: Sequence[float]
 ) -> list[tuple[float, ...]] | None:
-    """Search for a piecewise segment path inside the region from p to q.
+    """Search for a piecewise segment path inside the region from p to q,
+    with the probe's default seed and box.
 
     Returns the waypoint list (including endpoints) or None when no path
     is found within the restart budget; None is not a disconnectedness
@@ -360,6 +349,6 @@ def connect_witnesses(
         raise ValueError("endpoints must lie inside the region")
     if p == q:
         return [p]
-    rng = random.Random(seed)
+    rng = random.Random(ProbeConfig.seed)
     tables = _checkpoint_tables(region)
-    return _find_path(region, tables, p, q, sp, sq, rng, restarts, segment_checks, box)
+    return _find_path(region, tables, p, q, sp, sq, rng, ProbeConfig.box)

@@ -89,7 +89,9 @@ class SymPoly:
     def __sub__(self, other: "SymPoly") -> "SymPoly":
         return self + (-other)
 
-    def __mul__(self, other: "SymPoly") -> "SymPoly":
+    def __mul__(self, other: "SymPoly | int") -> "SymPoly":
+        if isinstance(other, int):
+            return SymPoly(self.nsym, {e: c * other for e, c in self.terms.items()})
         out: dict[tuple[int, ...], int] = {}
         for ea, ca in self.terms.items():
             for eb, cb in other.terms.items():
@@ -106,9 +108,6 @@ class SymPoly:
             base = base * base
             n >>= 1
         return result
-
-    def scale(self, k: int) -> "SymPoly":
-        return SymPoly(self.nsym, {e: c * k for e, c in self.terms.items()})
 
     def normalized(self) -> "SymPoly":
         """Divide out the common monomial factor and integer content.
@@ -206,15 +205,10 @@ class SteadyStateSystem:
     network: ReactionNetwork
     odes: tuple[SymPoly, ...]
     cons: ConservationMatrix
-    total_symbols: tuple[str, ...]
 
 
 def steady_state_system(net: ReactionNetwork) -> SteadyStateSystem:
-    cons = conservation_matrix(net)
-    symbols = tuple(f"c{i + 1}" for i in range(cons.dim)) if cons.dim > 1 else (
-        ("c",) if cons.dim == 1 else ()
-    )
-    return SteadyStateSystem(net, tuple(ode_rhs(net)), cons, symbols)
+    return SteadyStateSystem(net, tuple(ode_rhs(net)), conservation_matrix(net))
 
 
 @dataclass

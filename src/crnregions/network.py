@@ -140,8 +140,10 @@ def _split_statements(text: str):
 def parse_network(text: str) -> ReactionNetwork:
     """Parse the network DSL into a validated ReactionNetwork."""
     species: dict[str, int] = {}
-    # raw reactions: (reactant terms, product terms, explicit label or None)
+    # raw reactions: (reactant terms, product terms, explicit label or None),
+    # and the (line, column) of each one's statement
     raw: list[tuple[list, list, str | None]] = []
+    where: list[tuple[int, int]] = []
     for stmt, lineno, col in _split_statements(text):
         if ";" in stmt:
             body, label_part = stmt.split(";", 1)
@@ -179,6 +181,7 @@ def parse_network(text: str) -> ReactionNetwork:
                 )
             stmt_rxns = [(a, b, lab) for (a, b, _), lab in zip(stmt_rxns, labels)]
         raw.extend(stmt_rxns)
+        where.extend([(lineno, col)] * len(stmt_rxns))
 
     if not raw:
         raise NetworkParseError("no reactions found", 1, 1)
@@ -204,13 +207,29 @@ def parse_network(text: str) -> ReactionNetwork:
         reactant, product = to_complex(lhs), to_complex(rhs)
         if reactant == product:
             raise NetworkParseError(
-                "reactant equals product (zero reaction vector)"
+                "reactant equals product (zero reaction vector)", *where[len(reactions)]
             )
         reactions.append(Reaction(reactant, product, label))
     try:
         return ReactionNetwork(tuple(species), tuple(reactions))
     except ValueError as exc:
-        raise NetworkParseError(str(exc)) from exc
+        raise _located(exc, reactions, where, tuple(species)) from exc
+
+
+def _located(exc: ValueError, reactions, where, names) -> NetworkParseError:
+    """ReactionNetwork's error as a parse error that names the first repeated
+    reaction or rate label, at the line and column of the repeat."""
+    pairs, labels = set(), set()
+    for rxn, (line, col) in zip(reactions, where):
+        pair = (rxn.reactant, rxn.product)
+        if pair in pairs:
+            text = f"{format_complex(rxn.reactant, names)} -> {format_complex(rxn.product, names)}"
+            return NetworkParseError(f"duplicate reaction {text!r}", line, col)
+        if rxn.rate_label in labels:
+            return NetworkParseError(f"duplicate rate label {rxn.rate_label!r}", line, col)
+        pairs.add(pair)
+        labels.add(rxn.rate_label)
+    return NetworkParseError(str(exc))
 
 
 def format_complex(cpx: Complex, species_names: tuple[str, ...]) -> str:
@@ -271,7 +290,6 @@ class ConservationMatrix:
     """RREF basis (d x n) of the left null space of the stoichiometric matrix."""
 
     rows: tuple[tuple[Fraction, ...], ...]
-    num_species: int
 
     @property
     def dim(self) -> int:
@@ -296,4 +314,4 @@ def conservation_matrix(net: ReactionNetwork) -> ConservationMatrix:
             vec[pc] = -row[fc]
         basis.append(vec)
     canon = rref(basis) if basis else []
-    return ConservationMatrix(tuple(tuple(row) for row in canon), n)
+    return ConservationMatrix(tuple(tuple(row) for row in canon))

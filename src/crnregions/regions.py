@@ -11,9 +11,10 @@ Enabling regions for two-species networks are stated with respect to the
 canonical RREF conservation-law matrix produced by the network module.
 
 Every trinomial condition (one-species nets, ACR reductions) comes from
-_trinomial_conjunct.  Every stored witness comes from _scale_into, so it is
-a rational point where each condition of its own conjunct holds exactly,
-or None.
+_trinomial_conjunct, through trinomial_D, the one copy of the trinomial
+discriminant formula (count-roots reads it too).  Every stored witness comes
+from _scale_into, so it is a rational point where each condition of its own
+conjunct holds exactly, or None.
 """
 
 from __future__ import annotations
@@ -157,22 +158,31 @@ def region_one_species_net_trinomial(net: ReactionNetwork) -> Region:
     return Region("allowing", net.rate_labels, tuple(conjuncts), case, tuple(witnesses))
 
 
+def trinomial_D(s0, s1, s2, n: int, k: int):
+    """n^N s0^(N-K) s2^K - (n-k)^(N-K) k^K s1^N, N = n/g, K = k/g, g = gcd(n, k),
+    over ints, Fractions or SymPolys.
+
+    For s0, s1, s2 > 0 and 0 < k < n, s2 x^n - s1 x^k + s0 has two positive
+    roots when D < 0, one (a double root) when D = 0 and none when D > 0.
+    D is homogeneous of degree N in (s0, s1, s2), so a common positive
+    factor of the three changes no sign.
+    """
+    g = math.gcd(n, k)
+    N, K = n // g, k // g
+    return s0 ** (N - K) * s2**K * n**N - s1**N * ((n - k) ** (N - K) * k**K)
+
+
 def _trinomial_conjunct(signed, n: int, k: int) -> tuple[SignCondition, ...]:
     """Conditions for two positive roots of a0 + a1 x^k + a2 x^n, 0 < k < n.
 
     signed holds the coefficients times an alternating sign pattern, all
     three times one positive factor.  The roots exist exactly when every
-    signed form is positive and D < 0, D = n^N s0^(N-K) s2^K - (n-k)^(N-K)
-    k^K s1^N with N = n/g, K = k/g, g = gcd(n, k): the trinomial discriminant
-    quantity times s2^N, homogeneous of degree N, so the common factor
-    changes no sign.  A form without a negative coefficient is positive on
-    the orthant and gets no condition.
+    signed form is positive and trinomial_D(*signed, n, k) < 0.  A form
+    without a negative coefficient is positive on the orthant and gets no
+    condition.
     """
-    g = math.gcd(n, k)
-    N, K = n // g, k // g
-    s0, s1, s2 = signed
     conds = [SignCondition(a.normalized(), ">0") for a in signed if min(a.terms.values()) < 0]
-    dpoly = (s0 ** (N - K) * s2**K).scale(n**N) - (s1**N).scale((n - k) ** (N - K) * k**K)
+    dpoly = trinomial_D(*signed, n, k)
     return (*conds, SignCondition(dpoly.normalized(), "<0"))
 
 
@@ -217,18 +227,18 @@ def _degenerate_enabling(box: BoxDiagram, case: int):
         # with y' - y = -lam (y~' - y~), steady states exist iff kappa_tilde = lam
         # kappa; they fill the class, which is empty for c <= 0 when the
         # conservation law (orthogonal to y' - y) has no negative weight
-        eq = SignCondition((kapt.scale(ld) - kap.scale(ln)).normalized(), "=0")
+        eq = SignCondition((kapt * ld - kap * ln).normalized(), "=0")
         mixed = u1 * u2 > 0
         return ((eq,) if mixed else (SignCondition(c, ">0"), eq)), (one, box.lam, one)
     if case == 1:
         a2 = box.y_tilde[1] - box.y[1]
         # slopes coincide iff lam * kappa = kappa_tilde * gamma^a2, gamma = u2/u1 > 0
         if a2 >= 0:
-            lhs = kap.scale(ln * u1**a2)
-            rhs = kapt.scale(ld * u2**a2)
+            lhs = kap * (ln * u1**a2)
+            rhs = kapt * (ld * u2**a2)
         else:
-            lhs = kap.scale(ln * u2 ** (-a2))
-            rhs = kapt.scale(ld * u1 ** (-a2))
+            lhs = kap * (ln * u2 ** (-a2))
+            rhs = kapt * (ld * u1 ** (-a2))
         conj = (SignCondition(c, "=0"), SignCondition((lhs - rhs).normalized(), "=0"))
         return conj, (box.gamma**a2 / box.lam, one, Fraction(0))
     # cases 3 and 4: the steady-state set is an axis-parallel line matching
@@ -236,9 +246,9 @@ def _degenerate_enabling(box: BoxDiagram, case: int):
     # c^e = kappa_tilde / (lam * kappa) with e = y_i - y~_i
     e = box.y[case - 3] - box.y_tilde[case - 3]
     if e > 0:
-        poly = (kap * c**e).scale(ln) - kapt.scale(ld)
+        poly = kap * c**e * ln - kapt * ld
     else:
-        poly = (kapt * c ** (-e)).scale(ld) - kap.scale(ln)
+        poly = kapt * c ** (-e) * ld - kap * ln
     conj = (SignCondition(c, ">0"), SignCondition(poly.normalized(), "=0"))
     return conj, (one, box.lam, one)
 

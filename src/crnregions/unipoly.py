@@ -1,8 +1,8 @@
 """Exact univariate polynomial toolkit over the integers.
 
 Provides Descartes' rule of signs, Sturm-sequence root counting on
-intervals of the positive axis, and the sign trichotomy that counts
-positive roots of an alternating trinomial x^n - c*x^k + b.
+intervals of the positive axis, and isolation and refinement of the
+positive roots.
 
 UniPoly holds integer coefficients.  A polynomial with rational
 coefficients enters through UniPoly.from_rationals, which scales it by the
@@ -15,7 +15,6 @@ floating point is involved.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
 
@@ -479,58 +478,3 @@ def positive_roots(p: UniPoly) -> list[Fraction]:
         a if a == b else refine_root(p, a, b, squarefree=sf)
         for a, b in isolate_positive_roots(p, sf)
     ]
-
-
-# ---------------------------------------------------------------------------
-# Trinomials
-
-
-@dataclass(frozen=True)
-class TrinomialForm:
-    """Normalized alternating trinomial x^n - c*x^k + b with b, c > 0."""
-
-    n: int
-    k: int
-    b: Fraction
-    c: Fraction
-    d: int = field(init=False)
-    N: int = field(init=False)
-    K: int = field(init=False)
-
-    def __post_init__(self) -> None:
-        if not 0 < self.k < self.n:
-            raise ValueError("trinomial requires 0 < k < n")
-        object.__setattr__(self, "b", Fraction(self.b))
-        object.__setattr__(self, "c", Fraction(self.c))
-        if self.b <= 0 or self.c <= 0:
-            raise ValueError("trinomial form requires b > 0 and c > 0")
-        d = math.gcd(self.n, self.k)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "N", self.n // d)
-        object.__setattr__(self, "K", self.k // d)
-
-    def polynomial(self) -> UniPoly:
-        """x^n - c*x^k + b times the lcm of the denominators of b and c."""
-        coeffs = [Fraction(0)] * (self.n + 1)
-        coeffs[0] = self.b
-        coeffs[self.k] = -self.c
-        coeffs[self.n] = Fraction(1)
-        return UniPoly.from_rationals(coeffs)
-
-
-def trinomial_D(t: TrinomialForm) -> Fraction:
-    """The quantity whose sign decides the positive-root trichotomy."""
-    return (
-        Fraction(t.n) ** t.N * t.b ** (t.N - t.K)
-        - Fraction(t.n - t.k) ** (t.N - t.K) * Fraction(t.k) ** t.K * t.c**t.N
-    )
-
-
-def trinomial_positive_roots(t: TrinomialForm) -> int:
-    """Positive roots of x^n - c*x^k + b, counted without multiplicity."""
-    D = trinomial_D(t)
-    if D < 0:
-        return 2
-    if D == 0:
-        return 1
-    return 0

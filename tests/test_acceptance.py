@@ -27,13 +27,9 @@ from crnregions.regions import (
     oracle_sweep,
     region_to_json,
     regions_for_network,
+    trinomial_D,
 )
-from crnregions.unipoly import (
-    TrinomialForm,
-    descartes_sign_changes,
-    sturm_count_positive,
-    trinomial_positive_roots,
-)
+from crnregions.unipoly import UniPoly, descartes_sign_changes, sturm_count_positive
 
 from conftest import (
     GOLDEN,
@@ -183,6 +179,16 @@ def test_criterion_3_region_oracle_sweep():
             assert oracle_sweep(net, enabling, 42, 1000) == [], name
 
 
+def _trichotomy_matches_sturm(n: int, k: int, b: Fraction, c: Fraction) -> bool:
+    """The sign of regions.trinomial_D counts the positive roots of
+    x^n - c x^k + b as Sturm does: 2 for D < 0, 1 for D = 0, 0 for D > 0."""
+    D = trinomial_D(b, c, 1, n, k)
+    coeffs = [Fraction(0)] * (n + 1)
+    coeffs[0], coeffs[k], coeffs[n] = b, -c, Fraction(1)
+    count = sturm_count_positive(UniPoly.from_rationals(coeffs))
+    return count == (2 if D < 0 else 1 if D == 0 else 0)
+
+
 def test_criterion_4_trichotomy_vs_sturm():
     with Budget(4, "trichotomy == Sturm on the exhaustive grid + 10000 random", 60.0):
         values = [Fraction(1, 4), Fraction(1, 2), Fraction(1), Fraction(2), Fraction(4)]
@@ -191,10 +197,7 @@ def test_criterion_4_trichotomy_vs_sturm():
             for k in range(1, n):
                 for b in values:
                     for c in values:
-                        t = TrinomialForm(n, k, b, c)
-                        assert trinomial_positive_roots(t) == sturm_count_positive(
-                            t.polynomial()
-                        )
+                        assert _trichotomy_matches_sturm(n, k, b, c), (n, k, b, c)
                         checked += 1
         assert checked == 700
         rng = random.Random(42)
@@ -203,8 +206,7 @@ def test_criterion_4_trichotomy_vs_sturm():
             k = rng.randint(1, n - 1)
             b = Fraction(rng.randint(1, 64), rng.randint(1, 64))
             c = Fraction(rng.randint(1, 64), rng.randint(1, 64))
-            t = TrinomialForm(n, k, b, c)
-            assert trinomial_positive_roots(t) == sturm_count_positive(t.polynomial())
+            assert _trichotomy_matches_sturm(n, k, b, c), (n, k, b, c)
 
 
 def test_criterion_5_swan_vs_resultant():
@@ -221,7 +223,13 @@ def test_criterion_5_swan_vs_resultant():
             done += 1
             coeffs = [Fraction(0)] * (n + 1)
             coeffs[0], coeffs[k], coeffs[n] = b, a, Fraction(1)
-            assert trinomial_discriminant(n, k, a, b) == discriminant_via_resultant(coeffs)
+            disc = discriminant_via_resultant(coeffs)
+            assert trinomial_discriminant(n, k, a, b) == disc
+            # the discriminant is trinomial_D of x^n - (-a) x^k + b, to the
+            # power gcd(n, k), times (-1)^(n(n-1)/2) b^(k-1)
+            sign = (-1) ** (n * (n - 1) // 2)
+            D = trinomial_D(b, -a, 1, n, k)
+            assert disc == sign * b ** (k - 1) * D ** math.gcd(n, k), (n, k, a, b)
 
 
 def test_criterion_6_connectivity_verdicts():

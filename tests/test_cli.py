@@ -88,7 +88,30 @@ class TestParseCommand:
         bad = tmp_path / "bad.crn"
         bad.write_text("A -> 0; k1\n2A -> 3A; k1\n")
         result = runner.invoke(main, ["parse", str(bad)])
-        assert result.exit_code == 2 and "duplicate rate label" in result.output
+        assert result.exit_code == 2
+        assert "duplicate rate label 'k1' (line 2, col 1)" in result.output
+
+    def test_repeated_reaction_exit_2(self, runner, tmp_path):
+        bad = tmp_path / "bad.crn"
+        bad.write_text("A -> 0; k1\nB -> A, A -> 0; k2\n")
+        result = runner.invoke(main, ["parse", str(bad)])
+        assert result.exit_code == 2
+        assert "duplicate reaction 'A -> 0' (line 2, col 9)" in result.output
+
+    def test_zero_reaction_exit_2(self, runner, tmp_path):
+        bad = tmp_path / "bad.crn"
+        bad.write_text("0 -> A\nB -> 2B, A -> A\n")
+        result = runner.invoke(main, ["parse", str(bad)])
+        assert result.exit_code == 2
+        assert "zero reaction vector) (line 2, col 10)" in result.output
+
+    @pytest.mark.parametrize("command", ["parse", "analyze"])
+    def test_undecodable_file_exit_2(self, runner, tmp_path, command):
+        bad = tmp_path / "bad.crn"
+        bad.write_bytes(b"\xff\xfe\x00A -> 0\n")
+        result = runner.invoke(main, [command, str(bad)])
+        assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
+        assert result.output.startswith("error: cannot decode")
 
 
 # analyze's classification block per bundled net: (matched_case,

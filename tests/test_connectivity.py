@@ -7,8 +7,12 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from crnregions.connectivity import (
+    LINK_RADIUS,
+    MERGE_RESTARTS,
+    SEGMENT_CHECKS,
     ProbeConfig,
     ProbeReport,
+    _cell_neighbours,
     _checkpoint_tables,
     _component_reps,
     _conjunct_indices,
@@ -32,7 +36,7 @@ from crnregions.regions import (
 from conftest import NETS, load
 
 
-def _reference_segment_inside(region, p, q, checks):
+def _reference_segment_inside(region, p, q, checks=SEGMENT_CHECKS):
     cp, cq = _coords(region, p), _coords(region, q)
     live = _conjunct_indices(region, p) & _conjunct_indices(region, q)
     for j in range(1, checks + 1):
@@ -46,21 +50,19 @@ def _reference_segment_inside(region, p, q, checks):
 
 def _reference_pathable(region, p, q, rng, config):
     def inside(u, v):
-        return _reference_segment_inside(region, u, v, config.segment_checks)
+        return _reference_segment_inside(region, u, v)
 
     if inside(p, q):
         return True
     lo, hi = config.box
-    for _ in range(config.merge_restarts):
+    for _ in range(MERGE_RESTARTS):
         w = _sample_point(rng, region, lo, hi)
         if membership_float(region, w) and inside(p, w) and inside(w, q):
             return True
     return False
 
 
-def _reference_probe(region, config):
-    """The probe over all pairs of hits, with root lookups in the merge pass
-    and every conjunct evaluated at each checkpoint."""
+def _sampled_hits(region, config):
     rng = random.Random(config.seed)
     lo, hi = config.box
     hits = []
@@ -68,21 +70,30 @@ def _reference_probe(region, config):
         pt = _sample_point(rng, region, lo, hi)
         if membership_float(region, pt):
             hits.append(pt)
+    return rng, hits
+
+
+def _within(coords, i, j, radius):
+    return sum((a - b) ** 2 for a, b in zip(coords[i], coords[j])) <= radius**2
+
+
+def _reference_probe(region, config):
+    """The probe over all pairs of hits, with root lookups in the merge pass
+    and every conjunct evaluated at each checkpoint."""
+    rng, hits = _sampled_hits(region, config)
     if not hits:
         return ProbeReport(config.n_samples, 0, 0, (), (), 0, config)
     uf = _UnionFind(len(hits))
     coords = [_coords(region, h) for h in hits]
-    r2 = config.link_radius**2
     edges = 0
     for i in range(len(hits)):
         for j in range(i + 1, len(hits)):
-            if sum((a - b) ** 2 for a, b in zip(coords[i], coords[j])) > r2:
+            if not _within(coords, i, j, LINK_RADIUS):
                 continue
             if uf.find(i) == uf.find(j):
                 edges += 1
                 continue
-            checks = config.segment_checks
-            if _reference_segment_inside(region, hits[i], hits[j], checks):
+            if _reference_segment_inside(region, hits[i], hits[j]):
                 uf.union(i, j)
                 edges += 1
     reps = _component_reps(uf, len(hits))
@@ -112,10 +123,10 @@ def _one_symbol_region():
     """k < 1, 2 < k < 3 or k > 4, over one conjunct and a second one."""
     k = SymPoly.symbol(1, 0)
     one = SymPoly.const(1, 1)
-    gaps = SignCondition(k * k - k.scale(5) + one.scale(4), ">0")
+    gaps = SignCondition(k * k - k * 5 + one * 4, ">0")
     band = (
-        SignCondition(k - one.scale(2), ">0"),
-        SignCondition(one.scale(3) - k, ">0"),
+        SignCondition(k - one * 2, ">0"),
+        SignCondition(one * 3 - k, ">0"),
     )
     return Region("allowing", ("k",), ((gaps,), band), "hand_built")
 
@@ -149,16 +160,6 @@ class TestProbeConfig:
             ProbeConfig(box=(1.0, 0.5))
         with pytest.raises(ValueError):
             ProbeConfig(box=(-1.0, 2.0))
-
-    @pytest.mark.parametrize("radius", [0.0, -1.0, float("nan")])
-    def test_rejects_bad_link_radius(self, radius):
-        with pytest.raises(ValueError):
-            ProbeConfig(link_radius=radius)
-
-    def test_rejects_negative_merge_restarts(self):
-        with pytest.raises(ValueError):
-            ProbeConfig(merge_restarts=-1)
-        assert ProbeConfig(merge_restarts=0).merge_restarts == 0
 
 
 class TestProbe:
@@ -238,15 +239,22 @@ class TestReferenceEquivalence:
         assert len(self.REGIONS["one_symbol"].ambient) == 1
         assert not self.REGIONS["deg_case2"].conjuncts
 
-    @pytest.mark.parametrize("radius", [0.3, 1.0, 2.5])
+    @pytest.mark.parametrize("radius", [0.3, LINK_RADIUS, 2.5])
     @pytest.mark.parametrize("name", sorted(REGIONS))
     def test_same_report(self, name, radius):
+        """The cell list holds every pair of hits within radius, found over
+        all pairs, also off the link radius; at the link radius the probe's
+        report is the all-pairs one."""
         region = self.REGIONS[name]
         for seed in (3, 11):
-            cfg = ProbeConfig(
-                seed=seed, n_samples=300, box=(0.0625, 16.0), link_radius=radius
-            )
-            assert probe(region, cfg) == _reference_probe(region, cfg)
+            cfg = ProbeConfig(seed=seed, n_samples=300, box=(0.0625, 16.0))
+            _, hits = _sampled_hits(region, cfg)
+            coords = [_coords(region, h) for h in hits]
+            for i, near in enumerate(_cell_neighbours(coords, radius) if coords else ()):
+                within = {j for j in range(len(coords)) if _within(coords, i, j, radius)}
+                assert near == sorted(near) and within <= set(near)
+            if radius == LINK_RADIUS:
+                assert probe(region, cfg) == _reference_probe(region, cfg)
 
     # the bench's four probe configurations
     @pytest.mark.parametrize(
@@ -278,7 +286,7 @@ class TestConnectWitnesses:
         w1, w2 = allowing.witnesses
         p = tuple(float(v) for v in w1)
         q = tuple(float(v) for v in w2)
-        assert connect_witnesses(allowing, p, q, restarts=16) is None
+        assert connect_witnesses(allowing, p, q) is None
 
     def test_rejects_outside_endpoint(self, ex53_net):
         _, allowing = regions_for_network(ex53_net)
@@ -292,10 +300,10 @@ class TestConnectWitnesses:
         assert connect_witnesses(allowing, p, p) == [p]
 
 
-def _new_segment_inside(region, p, q, checks=32):
+def _new_segment_inside(region, p, q):
     live = _conjunct_indices(region, p) & _conjunct_indices(region, q)
     cp, cq = _coords(region, p), _coords(region, q)
-    return _segment_inside(_checkpoint_tables(region), cp, cq, live, checks)
+    return _segment_inside(_checkpoint_tables(region), cp, cq, live)
 
 
 @st.composite

@@ -38,12 +38,12 @@ class TestOdeRhs:
 class TestSteadyStateSystem:
     def test_running_example_symbols(self, running_net):
         sys = steady_state_system(running_net)
-        assert sys.total_symbols == ("c",)
+        assert sys.cons.dim == 1
         assert sys.cons.rows == ((Fraction(1), Fraction(1)),)
 
     def test_full_dimensional_has_no_symbols(self, acr_net):
         sys = steady_state_system(acr_net)
-        assert sys.total_symbols == ()
+        assert sys.cons.dim == 0
 
 
 class TestOracle1D:

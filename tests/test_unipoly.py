@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crnregions.regions import trinomial_D
 from crnregions.unipoly import (
-    TrinomialForm,
     UniPoly,
     ZeroPolynomialError,
     descartes_sign_changes,
@@ -18,8 +18,6 @@ from crnregions.unipoly import (
     root_upper_bound,
     sturm_count_open_interval,
     sturm_count_positive,
-    trinomial_D,
-    trinomial_positive_roots,
 )
 
 from conftest import discriminant_via_resultant, resultant, trinomial_discriminant
@@ -317,21 +315,24 @@ class TestResultantAndSwan:
             assert trinomial_discriminant(n, k, a, b) == discriminant_via_resultant(coeffs)
 
 
+def trichotomy(n, k, b, c):
+    """Positive roots of x^n - c x^k + b by the sign of regions.trinomial_D."""
+    D = trinomial_D(b, c, 1, n, k)
+    return 2 if D < 0 else 1 if D == 0 else 0
+
+
 class TestTrichotomy:
     def test_known_quadratic(self):
-        t = TrinomialForm(2, 1, Fraction(2), Fraction(3))
-        assert trinomial_D(t) == -1
-        assert trinomial_positive_roots(t) == 2
+        assert trinomial_D(Fraction(2), Fraction(3), 1, 2, 1) == -1
+        assert trichotomy(2, 1, Fraction(2), Fraction(3)) == 2
 
     def test_boundary_double_root(self):
         # x^2 - 2x + 1 = (x-1)^2: D = 0, one distinct positive root
-        t = TrinomialForm(2, 1, Fraction(1), Fraction(2))
-        assert trinomial_D(t) == 0
-        assert trinomial_positive_roots(t) == 1
+        assert trinomial_D(Fraction(1), Fraction(2), 1, 2, 1) == 0
+        assert trichotomy(2, 1, Fraction(1), Fraction(2)) == 1
 
     def test_no_roots(self):
-        t = TrinomialForm(2, 1, Fraction(4), Fraction(1))
-        assert trinomial_positive_roots(t) == 0
+        assert trichotomy(2, 1, Fraction(4), Fraction(1)) == 0
 
     def test_matches_sturm_small_grid(self):
         vals = [Fraction(1, 2), Fraction(1), Fraction(2)]
@@ -339,9 +340,8 @@ class TestTrichotomy:
             for k in range(1, n):
                 for b in vals:
                     for c in vals:
-                        t = TrinomialForm(n, k, b, c)
                         coeffs = [Fraction(0)] * (n + 1)
                         coeffs[0], coeffs[k], coeffs[n] = b, -c, Fraction(1)
-                        assert trinomial_positive_roots(t) == sturm_count_positive(
+                        assert trichotomy(n, k, b, c) == sturm_count_positive(
                             UniPoly.from_rationals(coeffs)
                         )

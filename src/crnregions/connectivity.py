@@ -120,11 +120,6 @@ def _coords(region: Region, point: Sequence[float]) -> tuple[float, ...]:
     return tuple(map(math.log, point[:n])) + tuple(point[n:])
 
 
-def _from_coords(region: Region, coords: Sequence[float]) -> tuple[float, ...]:
-    n = len(region.ambient) - region.totals
-    return tuple(map(math.exp, coords[:n])) + tuple(coords[n:])
-
-
 def _conjunct_indices(region: Region, pt) -> set[int]:
     return {
         i

@@ -5,11 +5,12 @@ statement chains complexes with arrows:
 
     2A + B -> 3A
     0 <- A, 2A -> 3A <- 4A      # chains share the middle complex
-    A <-> B ; kf, kr            # reversible, explicit labels
+    A <-> B ; kf                # reversible, labels kf_f and kf_r
 
 ``<->`` expands to a forward and a reverse reaction.  Rate labels default
 to k1, k2, ... in reaction order; an explicit ``; label`` clause names the
-reactions produced by its statement.
+one reaction its statement produces, or the ``_f``/``_r`` pair of one
+``<->``.
 """
 
 from __future__ import annotations
@@ -145,13 +146,10 @@ def parse_network(text: str) -> ReactionNetwork:
     raw: list[tuple[list, list, str | None]] = []
     where: list[tuple[int, int]] = []
     for stmt, lineno, col in _split_statements(text):
-        if ";" in stmt:
-            body, label_part = stmt.split(";", 1)
-            labels = [s.strip() for s in label_part.split(",") if s.strip()]
-            if not labels:
-                raise NetworkParseError("empty rate label clause", lineno, col)
-        else:
-            body, labels = stmt, []
+        body, semi, label = stmt.partition(";")
+        label = label.strip()
+        if semi and not label:
+            raise NetworkParseError("empty rate label clause", lineno, col)
         pieces = _ARROW_RE.split(body)
         if len(pieces) < 3 or len(pieces) % 2 == 0:
             raise NetworkParseError(f"malformed statement {stmt!r}", lineno, col)
@@ -170,9 +168,10 @@ def parse_network(text: str) -> ReactionNetwork:
             else:  # <->
                 stmt_rxns.append((lhs, rhs, None))
                 stmt_rxns.append((rhs, lhs, None))
-        if labels:
-            if len(labels) == 1 and len(stmt_rxns) == 2 and "<->" in arrows:
-                labels = [labels[0] + "_f", labels[0] + "_r"]
+        if label:
+            labels = [label]
+            if len(stmt_rxns) == 2 and "<->" in arrows:
+                labels = [label + "_f", label + "_r"]
             if len(labels) != len(stmt_rxns):
                 raise NetworkParseError(
                     f"{len(labels)} labels for {len(stmt_rxns)} reactions",

@@ -15,6 +15,10 @@ _trinomial_conjunct, through trinomial_D, the one copy of the trinomial
 discriminant formula (count-roots reads it too).  Every stored witness comes
 from _scale_into, so it is a rational point where each condition of its own
 conjunct holds exactly, or None.
+
+The self-check, oracle_sweep, draws seeded points whose coordinates are
+exact rationals and compares membership with the oracle's count at each:
+both sides are exact, so no point is skipped and no disagreement forgiven.
 """
 
 from __future__ import annotations
@@ -550,75 +554,35 @@ def oracle_sweep(
 ) -> list[tuple[Fraction, ...]]:
     """Sampled points where enabling-region membership disagrees with the oracle.
 
-    Draws samples points away from the region's boundary.  Each coordinate
-    has a log-uniform magnitude in [2^-6, 2^6], rounded to a denominator of
-    at most 10^9 as Fraction.limit_denominator does, and totals take either
-    sign.  A point is redrawn when some condition is within 1/10^6 of 0
-    relative to its terms: 10^6 |value| < sum |term|, exactly.  A point
-    disagrees when it is inside the region and the oracle counts fewer than
-    two positive steady states there, or the reverse.
+    Draws samples points.  Each coordinate has a log-uniform magnitude in
+    [2^-6, 2^6], taken as the exact rational value of the float drawn, and
+    totals take either sign.  A point disagrees when membership says it is
+    inside the region and the oracle counts fewer than two positive steady
+    states there, or the reverse.  Both sides are exact, so every
+    disagreement is a fault.
 
-    One pass of SymPoly.term_values over each condition decides both the
-    boundary rule and membership: its integer terms are the exact ones times
-    one positive integer, which changes neither the signs nor the ratio.
+    The oracle counts 2 where the steady states form a continuum, as for
+    prop51 at rates (1, ..., 1), which lies in neither of its conjuncts
+    (but in the closure of both).  Such a set has measure zero, so a float
+    draw does not land on it; if one did, the sweep would report the point,
+    not skip it.
     """
     sys_ = steady_state_system(net)
     rng = random.Random(seed)
-    dim = len(enabling.ambient)
-    n = dim - enabling.totals
+    n = len(enabling.ambient) - enabling.totals
     span = 6 * math.log(2)
     bad = []
-    done = 0
-    while done < samples:
+    for _ in range(samples):
         pt = []
-        for i in range(dim):
+        for i in range(len(enabling.ambient)):
             mag = math.exp(rng.uniform(-span, span))
             if i >= n and rng.random() < 0.5:
                 mag = -mag
-            pt.append(Fraction(*_limit_denominator(mag, 10**9)))
-        inside = near = False
-        for conj in enabling.conjuncts:
-            holds = True
-            for cond in conj:
-                vals = [v for _, v in cond.poly.term_values(pt)]
-                val = sum(vals)
-                if 10**6 * abs(val) < sum(map(abs, vals)):
-                    near = True
-                    break
-                holds = holds and (val > 0) - (val < 0) == _SIGNS[cond.rel]
-            if near:
-                break
-            inside = inside or holds
-        if near:
-            continue
-        done += 1
+            pt.append(Fraction(mag))
         result = count_positive_steady_states(sys_, pt[:n], pt[n:])
-        if inside != (result.count >= 2):
+        if membership(enabling, pt) != (result.count >= 2):
             bad.append(tuple(pt))
     return bad
-
-
-def _limit_denominator(x: float, max_den: int) -> tuple[int, int]:
-    """(numerator, denominator) of Fraction(x).limit_denominator(max_den),
-    by the same continued-fraction steps on integers."""
-    n, d = x.as_integer_ratio()
-    if d <= max_den:
-        return n, d
-    p0, q0, p1, q1 = 0, 1, 1, 0
-    a, b = n, d
-    while True:
-        q = a // b
-        q2 = q0 + q * q1
-        if q2 > max_den:
-            break
-        p0, q0, p1, q1 = p1, q1, p0 + q * p1, q2
-        a, b = b, a - q * b
-    k = (max_den - q0) // q1
-    p2, q2 = p0 + k * p1, q0 + k * q1
-    # the nearer of p1/q1 and p2/q2 to n/d; p1/q1 on a tie
-    if abs(p1 * d - n * q1) * q2 <= abs(p2 * d - n * q2) * q1:
-        return p1, q1
-    return p2, q2
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from crnregions.connectivity import (
     _component_reps,
     _conjunct_indices,
     _coords,
-    _from_coords,
     _sample_point,
     _segment_inside,
     _UnionFind,
@@ -34,6 +33,12 @@ from crnregions.regions import (
 )
 
 from conftest import NETS, load
+
+
+def _from_coords(region, coords):
+    """The inverse of _coords: exp for rate constants, identity for totals."""
+    n = len(region.ambient) - region.totals
+    return tuple(map(math.exp, coords[:n])) + tuple(coords[n:])
 
 
 def _reference_segment_inside(region, p, q, checks=SEGMENT_CHECKS):

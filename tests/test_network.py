@@ -1,10 +1,11 @@
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from crnregions import regions
+from crnregions import network, regions
 from crnregions.network import (
     Complex,
     NetworkParseError,
@@ -18,7 +19,21 @@ from crnregions.network import (
 )
 
 
+def _documented_examples():
+    """Each example line of the network module docstring and of the README's
+    "Network file format" section, without its comment."""
+    doc = [line for line in network.__doc__.splitlines() if line.startswith("    ")]
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = readme.split("## Network file format", 1)[1].split("```", 2)[1]
+    lines = (line.split("#", 1)[0].strip() for line in doc + block.splitlines())
+    return [line for line in lines if line]
+
+
 class TestParsing:
+    @pytest.mark.parametrize("line", _documented_examples())
+    def test_documented_example_parses(self, line):
+        parse_network(line)
+
     def test_running_example(self, running_net):
         assert running_net.species_names == ("A", "B")
         assert running_net.num_reactions == 2

@@ -4,6 +4,7 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -28,7 +29,6 @@ from crnregions.regions import (
     Region,
     SignCondition,
     SymPoly,
-    _limit_denominator,
     connectivity_verdict,
     membership,
     membership_float,
@@ -559,6 +559,23 @@ class TestConnectivity:
         for w in v.witnesses:
             assert membership(allowing, w)
 
+    def test_prop51_continuum_touches_both_conjuncts(self, prop51_net):
+        # the oracle's continuum at rates 1 lies in neither conjunct, yet
+        # points within 1/1000 of it lie in each: the set sits in the closure
+        # of both, and leaving it out is what keeps the region disconnected
+        _, allowing = regions_for_network(prop51_net)
+
+        def holding(pt):
+            return [all(c.holds(pt) for c in conj) for conj in allowing.conjuncts]
+
+        one, eps = Fraction(1), Fraction(1, 1000)
+        res = count_positive_steady_states(steady_state_system(prop51_net), (one,) * 6)
+        assert res.continuum and res.count == 2
+        assert holding((one,) * 6) == [False, False]
+        assert holding((1, 1 + eps**2, 1 + eps, 1, 1, 1 + eps**2)) == [True, False]
+        assert holding((1 + eps**2, 1, 1, 1 + eps, 1 + eps**2, 1)) == [False, True]
+        assert connectivity_verdict(allowing).value == "Disconnected"
+
     def test_one_negative_rule_needs_the_positive_orthant(self):
         # k1 c - k2 < 0 has one negative coefficient, but c may be negative
         k1, k2, c = (SymPoly.symbol(3, i) for i in range(3))
@@ -596,59 +613,28 @@ class TestSerialization:
         assert "conditions" not in json.loads(a)
 
 
-def _fraction_sweep(enabling, seed, samples):
-    """The self-check's sampler, boundary filter and membership test as they
-    ran on Fractions before the integer sweep: (point, inside) per accepted
-    point."""
+def _exact_draws(enabling, seed, samples):
+    """The self-check's points, drawn again: log-uniform magnitudes in
+    [2^-6, 2^6] as exact rationals, totals of either sign."""
     rng = random.Random(seed)
     n = len(enabling.ambient) - enabling.totals
     out = []
-    while len(out) < samples:
+    for _ in range(samples):
         pt = []
         for i in range(len(enabling.ambient)):
             mag = Fraction(math.exp(rng.uniform(-6 * math.log(2), 6 * math.log(2))))
             if i >= n and rng.random() < 0.5:
                 mag = -mag
-            pt.append(mag.limit_denominator(10**9))
-        if not _near_boundary(enabling, pt):
-            out.append((tuple(pt), membership(enabling, pt)))
+            pt.append(mag)
+        out.append(tuple(pt))
     return out
 
 
-def _near_boundary(region, pt, rel=1e-6):
-    for conj in region.conjuncts:
-        for cond in conj:
-            terms = []
-            for exps, c in cond.poly.terms.items():
-                t = Fraction(c)
-                for base, e in zip(pt, exps):
-                    if e:
-                        t *= base**e
-                terms.append(t)
-            scale = sum(abs(t) for t in terms)
-            if scale != 0 and abs(sum(terms)) < rel * scale:
-                return True
-    return False
-
-
 class TestIntegerSweep:
-    @given(
-        st.one_of(
-            st.floats(min_value=2**-6, max_value=2**6),
-            st.floats(allow_nan=False, allow_infinity=False),
-            st.integers(-(2**20), 2**20).map(lambda k: k / 64),
-        ),
-        st.one_of(st.integers(1, 100), st.sampled_from([10**6, 10**9]), st.integers(1, 2**60)),
-    )
-    @settings(max_examples=500)
-    def test_limit_denominator_matches_fraction(self, x, max_den):
-        want = Fraction(x).limit_denominator(max_den)
-        assert _limit_denominator(x, max_den) == (want.numerator, want.denominator)
-
-    @pytest.mark.parametrize("path", sorted(NETS.glob("*.crn")), ids=lambda p: p.stem)
-    def test_same_points_and_memberships_as_fraction_sweep(self, path, monkeypatch):
+    @staticmethod
+    def _recording_oracle(monkeypatch):
         # an oracle that records its points and counts 0 everywhere: the
-        # disagreements are then exactly the accepted points inside the region
+        # disagreements are then exactly the recorded points inside the region
         seen = []
 
         def record(sys_, kappa, c=()):
@@ -656,29 +642,32 @@ class TestIntegerSweep:
             return SteadyStateCount(0, list)
 
         monkeypatch.setattr(regions, "count_positive_steady_states", record)
+        return seen
+
+    @pytest.mark.parametrize("path", sorted(NETS.glob("*.crn")), ids=lambda p: p.stem)
+    def test_same_points_and_memberships_as_fraction_sweep(self, path, monkeypatch):
+        seen = self._recording_oracle(monkeypatch)
         net = parse_network(path.read_text())
         enabling, _ = regions_for_network(net)
         for seed in range(5):
             seen.clear()
             bad = oracle_sweep(net, enabling, seed, 200)
-            want = _fraction_sweep(enabling, seed, 200)
-            assert seen == [pt for pt, _ in want]
-            assert bad == [pt for pt, inside in want if inside]
+            assert len(seen) == 200
+            assert seen == _exact_draws(enabling, seed, 200)
+            assert bad == [pt for pt in seen if membership(enabling, pt)]
 
-    def test_boundary_rule_is_exact(self, monkeypatch):
-        # k1 - k2 > 0 at integer points drawn in this order: 10^6 |value|
-        # equals the sum of the terms' magnitudes at the first point, which
-        # is kept; it is below it at the second, which is redrawn
-        draws = iter([10**6 + 1, 10**6 - 1, 2 * 10**6 + 1, 2 * 10**6 - 1, 3, 1])
-        monkeypatch.setattr(regions, "_limit_denominator", lambda x, m: (next(draws), 1))
-        seen = []
-
-        def record(sys_, kappa, c=()):
-            seen.append(tuple(kappa))
-            return SteadyStateCount(0, list)
-
-        monkeypatch.setattr(regions, "count_positive_steady_states", record)
+    def test_near_boundary_draw_is_compared(self, monkeypatch):
+        # k1 - k2 > 0, with the first draw 1e-10 (relative) off k1 = k2: it
+        # is compared like any other, and the second draw lies inside
+        logs = iter([0.0, math.log1p(1e-10), 1.0, 0.0])
+        rng = SimpleNamespace(uniform=lambda a, b: next(logs), random=lambda: 0.9)
+        monkeypatch.setattr(regions.random, "Random", lambda seed: rng)
+        seen = self._recording_oracle(monkeypatch)
         cond = SignCondition(SymPoly(2, {(1, 0): 1, (0, 1): -1}), ">0")
         region = Region("allowing", ("k1", "k2"), ((cond,),), "test")
         net = parse_network("0 -> A; k1\nA -> 0; k2")
-        assert oracle_sweep(net, region, 0, 2) == seen == [(10**6 + 1, 10**6 - 1), (3, 1)]
+        bad = oracle_sweep(net, region, 0, 2)
+        first = (Fraction(1), Fraction(math.exp(math.log1p(1e-10))))
+        assert 0 < abs(first[0] - first[1]) < Fraction(1, 10**9) * sum(first)
+        assert seen == [first, (Fraction(math.e), Fraction(1))]
+        assert bad == seen[1:]

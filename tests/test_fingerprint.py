@@ -1,10 +1,16 @@
-"""One sha256 per corpus slice over the region JSON of every supported net.
+"""One sha256 per corpus slice over the region JSON of every supported net,
+and one over the oracle's answers on the bundled nets.
 
 Each net contributes its enabling and allowing region JSON, each with its
 connectivity verdict, and the enabling region's stored witnesses; a slice
 also records how many nets it has and how many were refused as outside the
 covered families.  Any change to a region builder, a verdict or a witness
 search that reaches one of these nets changes its slice's digest.
+
+The oracle case hashes (count, continuum, listed steady states) at 200
+seeded draws of the self-check's sampler on each bundled net, and at each
+net's stored witnesses, so any change to the oracle's counts or to the states
+it lists changes that digest.
 
 The digests live in tests/golden/corpus_fingerprint.json.  After a change
 that is meant to alter region output, regenerate them with
@@ -17,16 +23,19 @@ and give the reason in CHANGES.md, as for the per-net golden JSON.
 import hashlib
 import itertools
 import json
+import math
 import random
 from pathlib import Path
 
 import pytest
 
 from crnregions.classify import UnsupportedFamilyError
-from crnregions.network import Complex, Reaction, ReactionNetwork
+from crnregions.massaction import count_positive_steady_states, steady_state_system
+from crnregions.network import Complex, Reaction, ReactionNetwork, parse_network
 from crnregions.regions import connectivity_verdict, region_to_json, regions_for_network
 
 DIGESTS = Path(__file__).parent / "golden" / "corpus_fingerprint.json"
+NETS = Path(__file__).parent / "nets"
 
 
 def _net(pairs):
@@ -100,13 +109,52 @@ def fingerprint(nets) -> dict:
     return {"nets": total, "refused": refused, "sha256": h.hexdigest()}
 
 
+def _draws(enabling, seed: int, samples: int):
+    """The self-check's points as regions.oracle_sweep draws them: log-uniform
+    magnitudes in [2^-6, 2^6] as floats, totals of either sign."""
+    rng = random.Random(seed)
+    n = len(enabling.ambient) - enabling.totals
+    span = 6 * math.log(2)
+    for _ in range(samples):
+        pt = []
+        for i in range(len(enabling.ambient)):
+            mag = math.exp(rng.uniform(-span, span))
+            if i >= n and rng.random() < 0.5:
+                mag = -mag
+            pt.append(mag)
+        yield tuple(pt)
+
+
+def oracle_fingerprint(seed: int = 2023, samples: int = 200) -> dict:
+    h = hashlib.sha256()
+    points = 0
+    for path in sorted(NETS.glob("*.crn")):
+        net = parse_network(path.read_text())
+        enabling, _ = regions_for_network(net)
+        sys_ = steady_state_system(net)
+        n = len(enabling.ambient) - enabling.totals
+        stored = [w for w in enabling.witnesses if w is not None]
+        for pt in [*_draws(enabling, seed, samples), *stored]:
+            points += 1
+            res = count_positive_steady_states(sys_, pt[:n], pt[n:])
+            states = [[str(v) for v in w] for w in res.witnesses]
+            h.update(json.dumps([path.stem, res.count, res.continuum, states]).encode() + b"\n")
+    return {"points": points, "sha256": h.hexdigest()}
+
+
 @pytest.mark.parametrize("name", SLICES)
 def test_corpus_slice_fingerprint(name):
     want = json.loads(DIGESTS.read_text())[name]
     assert fingerprint(SLICES[name]()) == want, f"corpus slice {name!r} changed"
 
 
+def test_oracle_fingerprint():
+    want = json.loads(DIGESTS.read_text())["oracle"]
+    assert oracle_fingerprint() == want, "oracle answers on the bundled nets changed"
+
+
 if __name__ == "__main__":
     digests = {name: fingerprint(nets()) for name, nets in SLICES.items()}
+    digests["oracle"] = oracle_fingerprint()
     DIGESTS.write_text(json.dumps(digests, indent=2) + "\n")
     print(json.dumps(digests, indent=2))

@@ -2,7 +2,12 @@
 
 SymPoly is the one sparse multivariate type: region conditions over the rates
 and totals, and ODEs over the concentrations followed by the rates.  Its one
-exact evaluator, SymPoly.term_values, binds trailing symbols to rationals.
+exact evaluator, SymPoly.term_values, binds trailing symbols to rationals:
+ints, floats and Fractions, each read once through as_integer_ratio, so a
+float counts as its exact binary rational.  Each polynomial compiles its term
+plan (free exponents, coefficient, bound symbols' exponents per term) on
+first use, so importing this module and building polynomials costs nothing
+extra.
 
 The oracle handles networks with at most two species.  Every count it
 makes is a Sturm count of one ODE along one rational line, x_axis = t > 0
@@ -23,11 +28,14 @@ Counts are exact and without multiplicity.  Multiple roots and steady-state
 continua are reported through flags instead of being folded into the count.
 
 The oracle substitutes and counts on Python integers: the rates go in through
-term_values, and each univariate polynomial it counts is the exact one times
-a positive integer that clears the denominators of the rates, totals or
-pinned coordinate, so its roots are unchanged.  Every count goes through
-_count: a UniPoly on those integers, Sturm-counted on an open interval,
-whose steady states are found only when first read.
+term_values, ints, floats and Fractions as they are, and each univariate
+polynomial it counts is the exact one times a positive integer that clears
+the denominators of the rates, totals or pinned coordinate, so its roots are
+unchanged.  Where a conservation law fixes the line, only the ODE that is
+counted is substituted: the second one only when the first is zero.  Every
+count goes through _count: a UniPoly on those integers, counted on an open
+interval by unipoly.sturm_count_open_interval (Descartes' rule first on
+(0, inf)), whose steady states are found only when first read.
 """
 
 from __future__ import annotations
@@ -36,7 +44,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 from .classify import UnsupportedFamilyError
 from .network import ConservationMatrix, ReactionNetwork, conservation_matrix
@@ -48,6 +56,8 @@ from .unipoly import (
 )
 
 Term = tuple[int, tuple[int, ...]]
+# the values that SymPoly.term_values reads exactly, through as_integer_ratio
+EXACT_TYPES = (int, float, Fraction)
 
 
 class SymPoly:
@@ -59,7 +69,7 @@ class SymPoly:
         self.nsym = nsym
         self.terms = {e: c for e, c in (terms or {}).items() if c != 0}
         self._float_terms: list[tuple[float, list[tuple[int, int]]]] | None = None
-        self._degrees: list[tuple[int, int]] | None = None
+        self._degrees: tuple | None = None  # term_values's compiled plan
 
     @classmethod
     def const(cls, nsym: int, c: int) -> "SymPoly":
@@ -127,36 +137,44 @@ class SymPoly:
             },
         )
 
-    def term_values(
-        self, point: Sequence, first: int = 0
-    ) -> Iterator[tuple[tuple[int, ...], int]]:
+    def term_values(self, point: Sequence, first: int = 0) -> list[tuple[tuple[int, ...], int]]:
         """(exponents of the symbols before first, integer value) per term,
-        with symbols first, first + 1, ... bound to the rationals of point.
+        with symbols first, first + 1, ... bound to the values of point.
 
+        Each value is read once, as value.as_integer_ratio(), so point may
+        hold ints, floats or Fractions: a float is its exact binary rational.
         At x_i = n_i/d_i a term k x^e is valued k prod n_i^e_i d_i^(deg_i - e_i),
         deg_i the largest exponent of x_i in this polynomial: its exact value
         times prod d_i^deg_i, one positive integer for every term, so sums
         keep their signs, their ratios and their roots in the free symbols.
+
+        The plan is compiled on first use, and again when first changes:
+        (index in point, deg_i, the exponents of x_i that occur) for each
+        bound symbol that occurs, and per term (free exponents, k, (slot,
+        e_i) per bound symbol, slot indexing that first list).
         """
-        degrees = self._degrees
-        if degrees is None:
-            # (i, deg_i) for each symbol that occurs
-            degrees = self._degrees = [
-                (i, deg)
-                for i in range(self.nsym)
-                if (deg := max((e[i] for e in self.terms), default=0))
-            ]
-        # (i, powers) per bound symbol i at n/d, powers[x] = n^x d^(deg - x)
-        live = []
-        for i, deg in degrees:
-            if i >= first:
-                n, d = point[i - first].as_integer_ratio()
-                p = (d, n) if deg == 1 else [n**x * d ** (deg - x) for x in range(deg + 1)]
-                live.append((i, p))
-        for e, c in self.terms.items():
-            for i, p in live:
-                c *= p[e[i]]
-            yield e[:first], c
+        plan = self._degrees
+        if plan is None or plan[0] != first:
+            cols = list(zip(*self.terms)) or [()] * self.nsym  # exponents per symbol
+            slots = list(enumerate(i for i in range(first, self.nsym) if any(cols[i])))
+            plan = self._degrees = (
+                first,
+                [(i - first, max(cols[i]), set(cols[i])) for _, i in slots],
+                [(e[:first], c, [(s, e[i]) for s, i in slots]) for e, c in self.terms.items()],
+            )
+        _, bound, terms = plan
+        # powers[slot][x] = n^x d^(deg - x) for the bound symbol at n/d, for
+        # the exponents x that occur
+        powers = []
+        for i, deg, exps in bound:
+            n, d = point[i].as_integer_ratio()
+            powers.append((d, n) if deg == 1 else {x: n**x * d ** (deg - x) for x in exps})
+        out = []
+        for free, c, pairs in terms:
+            for s, x in pairs:
+                c *= powers[s][x]
+            out.append((free, c))
+        return out
 
     def evaluate_float(self, point: Sequence[float]) -> float:
         # (coefficient, nonzero exponents) per term, compiled on first use;
@@ -232,18 +250,21 @@ class SteadyStateCount:
 
 
 def count_positive_steady_states(
-    sys: SteadyStateSystem, kappa: tuple, c: tuple = ()
+    sys: SteadyStateSystem, kappa: Sequence, c: Sequence = ()
 ) -> SteadyStateCount:
     """Count positive steady states in the compatibility class fixed by c.
 
     kappa entries must be positive rationals; c has one entry per
-    conservation law (in the rows' RREF order).
+    conservation law (in the rows' RREF order).  Ints, floats and Fractions
+    are taken at their exact values as they are; other values, such as
+    strings, are read through Fraction.
     """
     net = sys.network
     n = net.num_species
     if n > 2:
         raise ValueError("oracle supports at most two species")
-    kappa = tuple(Fraction(v) for v in kappa)
+    if not all(isinstance(v, EXACT_TYPES) for v in kappa):
+        kappa = [Fraction(v) for v in kappa]
     if len(kappa) != net.num_reactions:
         raise ValueError(f"expected {net.num_reactions} rate constant(s), got {len(kappa)}")
     if any(v <= 0 for v in kappa):
@@ -254,20 +275,22 @@ def count_positive_steady_states(
             f"expected {sys.cons.dim} total-constant value(s), got {len(c)}"
         )
 
-    subs = [_substitute_rates(f, kappa, n) for f in sys.odes]
+    odes = sys.odes
     if n == 1:
-        return _count(_on_line(subs[0], 0, 1, 0), Fraction(0), None, lambda r: (r,))
+        sub = _substitute_rates(odes[0], kappa, n)
+        return _count(_on_line(sub, 0, 1, 0), Fraction(0), None, lambda r: (r,))
     if sys.cons.dim == 1:
         # the class w.x = c of the RREF row w, on an ODE that is not zero if
         # one is: x2 = (c - w1 x1)/w2, or x1 = c when w = (1, 0)
-        (w1, w2), sub = sys.cons.rows[0], subs[0] or subs[1]
+        w1, w2 = sys.cons.rows[0]
+        sub = _substitute_rates(odes[0], kappa, n) or _substitute_rates(odes[1], kappa, n)
         if w2:
             return _count_line(sub, 0, c[0] / w2, -w1 / w2)
         return _count_line(sub, 1, c[0], 0)
-    return _count_full_dimensional(net, subs)
+    return _count_full_dimensional(net, [_substitute_rates(f, kappa, n) for f in odes])
 
 
-def _substitute_rates(f: SymPoly, kappa: tuple[Fraction, ...], n: int) -> dict:
+def _substitute_rates(f: SymPoly, kappa: Sequence, n: int) -> dict:
     """f with the rates at kappa, keyed by concentration exponents: the
     exact polynomial in x times a positive integer (SymPoly.term_values)."""
     sub: dict[tuple[int, ...], int] = {}
@@ -282,17 +305,23 @@ def _count(
     """Steady states point(r) for the distinct roots r of the integer
     polynomial cs in (lo, hi), hi = None meaning +inf.  A zero cs leaves the
     coordinate free: a continuum, sampled at the midpoint of (lo, hi) and at
-    the midpoint of the half above it."""
+    the midpoint of the half above it.  boundary is set by a multiple root
+    in (lo, hi) only: one outside it is no steady state."""
     if not cs:
         mid = lo + 1 if hi is None else (lo + hi) / 2
         mid2 = mid + 1 if hi is None else (mid + hi) / 2
         return SteadyStateCount(2, lambda: [point(mid), point(mid2)], continuum=True)
     p = UniPoly(cs)
     count = sturm_count_open_interval(p, lo, hi)
+    boundary = count.multiple_positive  # a multiple root in (0, inf)
+    if boundary and (lo or hi is not None):
+        # the multiple roots of p are the roots of gcd(p, p')
+        g = p.gcd(UniPoly([i * v for i, v in enumerate(cs)][1:]))
+        boundary = bool(sturm_count_open_interval(g, lo, hi))
     return SteadyStateCount(
         int(count),
         lambda: [point(r) for r in positive_roots(p) if r > lo and (hi is None or r < hi)],
-        boundary=count.multiple_positive,
+        boundary=boundary,
     )
 
 

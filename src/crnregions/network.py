@@ -10,7 +10,8 @@ statement chains complexes with arrows:
 ``<->`` expands to a forward and a reverse reaction.  Rate labels default
 to k1, k2, ... in reaction order; an explicit ``; label`` clause names the
 one reaction its statement produces, or the ``_f``/``_r`` pair of one
-``<->``.
+``<->``.  Labels, like species names, are identifiers: a letter or ``_``,
+then letters, digits and ``_``.
 """
 
 from __future__ import annotations
@@ -150,6 +151,9 @@ def parse_network(text: str) -> ReactionNetwork:
         label = label.strip()
         if semi and not label:
             raise NetworkParseError("empty rate label clause", lineno, col)
+        # a label is named like a species, [A-Za-z_][A-Za-z0-9_]* as in _TERM_RE
+        if label and not (label.isascii() and label.isidentifier()):
+            raise NetworkParseError(f"rate label {label!r} is not an identifier", lineno, col)
         pieces = _ARROW_RE.split(body)
         if len(pieces) < 3 or len(pieces) % 2 == 0:
             raise NetworkParseError(f"malformed statement {stmt!r}", lineno, col)

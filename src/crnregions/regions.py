@@ -41,7 +41,13 @@ from .classify import (
     feasible_patterns,
     one_species_verdict,
 )
-from .massaction import SymPoly, count_positive_steady_states, ode_rhs, steady_state_system
+from .massaction import (
+    EXACT_TYPES,
+    SymPoly,
+    count_positive_steady_states,
+    ode_rhs,
+    steady_state_system,
+)
 from .network import ReactionNetwork, conservation_matrix
 
 _SIGNS = {"<0": -1, "=0": 0, ">0": 1}
@@ -59,7 +65,7 @@ class SignCondition:
             raise ValueError("sign condition on the zero polynomial")
 
     def holds(self, point: Sequence) -> bool:
-        """Exact test at a point of rationals (Fraction or int)."""
+        """Exact test at a point of ints, floats or Fractions."""
         v = sum(t for _, t in self.poly.term_values(point))
         return (v > 0) - (v < 0) == _SIGNS[self.rel]
 
@@ -107,13 +113,19 @@ class Region:
 
 
 def membership(region: Region, point: Sequence) -> bool:
-    """Exact rational membership test; point follows region.ambient order."""
-    pt = tuple(Fraction(v) for v in point)
-    if len(pt) != len(region.ambient):
+    """Exact membership test; point follows region.ambient order.
+
+    Ints, floats and Fractions are taken at their exact values as they are
+    (SymPoly.term_values); other values, such as strings, are read through
+    Fraction.
+    """
+    if not all(isinstance(v, EXACT_TYPES) for v in point):
+        point = tuple(Fraction(v) for v in point)
+    if len(point) != len(region.ambient):
         raise ValueError(
-            f"point has {len(pt)} coordinates, ambient is {len(region.ambient)}"
+            f"point has {len(point)} coordinates, ambient is {len(region.ambient)}"
         )
-    return any(all(cond.holds(pt) for cond in conj) for conj in region.conjuncts)
+    return any(all(cond.holds(point) for cond in conj) for conj in region.conjuncts)
 
 
 def membership_float(region: Region, point: Sequence[float]) -> bool:
@@ -556,10 +568,12 @@ def oracle_sweep(
 
     Draws samples points.  Each coordinate has a log-uniform magnitude in
     [2^-6, 2^6], taken as the exact rational value of the float drawn, and
-    totals take either sign.  A point disagrees when membership says it is
-    inside the region and the oracle counts fewer than two positive steady
-    states there, or the reverse.  Both sides are exact, so every
-    disagreement is a fault.
+    totals take either sign.  The floats go to membership and the oracle as
+    they are, since both read a float as its exact binary rational; only the
+    points reported are converted to Fractions.  A point disagrees when
+    membership says it is inside the region and the oracle counts fewer than
+    two positive steady states there, or the reverse.  Both sides are exact,
+    so every disagreement is a fault.
 
     The oracle counts 2 where the steady states form a continuum, as for
     prop51 at rates (1, ..., 1), which lies in neither of its conjuncts
@@ -578,10 +592,10 @@ def oracle_sweep(
             mag = math.exp(rng.uniform(-span, span))
             if i >= n and rng.random() < 0.5:
                 mag = -mag
-            pt.append(Fraction(mag))
+            pt.append(mag)
         result = count_positive_steady_states(sys_, pt[:n], pt[n:])
         if membership(enabling, pt) != (result.count >= 2):
-            bad.append(tuple(pt))
+            bad.append(tuple(map(Fraction, pt)))
     return bad
 
 

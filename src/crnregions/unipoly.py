@@ -4,6 +4,12 @@ Provides Descartes' rule of signs, Sturm-sequence root counting on
 intervals of the positive axis, and isolation and refinement of the
 positive roots.
 
+Counting on (0, inf) tries Descartes' rule before any Sturm chain.  The
+number of sign changes V in the coefficients bounds the positive roots
+counted with multiplicity and has their parity, so V = 0 means no positive
+root and V = 1 exactly one, which is simple.  Only V >= 2 builds a chain
+(Collins and Akritas, 1976, use the same rule to stop their bisection).
+
 UniPoly holds integer coefficients.  A polynomial with rational
 coefficients enters through UniPoly.from_rationals, which scales it by the
 positive lcm of its denominators: roots, Descartes counts and Sturm counts
@@ -230,8 +236,13 @@ def _sign_at(cs: list[int], num: int, den: int) -> int:
 
 def _variations(values: Iterable[int]) -> int:
     """Sign changes along the values, zeros skipped."""
-    nz = [v > 0 for v in values if v]
-    return sum(1 for a, b in zip(nz, nz[1:]) if a != b)
+    changes = last = 0
+    for v in values:
+        if v:
+            if last and (v > 0) != (last > 0):
+                changes += 1
+            last = v
+    return changes
 
 
 def _variations_at(chain: list[list[int]], x: Fraction | None) -> int:
@@ -294,12 +305,19 @@ class RootCount(int):
 def _count_open(p: UniPoly, a: Fraction, b: Fraction | None) -> RootCount:
     """Distinct roots of p in the open interval (a, b); b = None means +inf.
 
-    Roots at the endpoints are divided out first, so the chain is evaluated
-    at two non-roots; a positive endpoint that is a multiple root still
-    counts as a multiple positive root.
+    On (0, inf) Descartes' rule of signs comes first: at most one sign
+    change in the coefficients means no positive root or exactly one, and
+    that one simple, since the rule bounds the roots counted with
+    multiplicity.  Otherwise roots at the endpoints are divided out, so the
+    Sturm chain is evaluated at two non-roots; a positive endpoint that is a
+    multiple root still counts as a multiple positive root.
     """
     if p.is_zero:
         raise ZeroPolynomialError("Sturm count requires a nonzero polynomial")
+    if b is None and not a:
+        changes = _variations(p.coeffs)
+        if changes <= 1:
+            return RootCount(changes, False)
     cs = _primitive(list(p.coeffs))
     multiple = False
     for x in (a, b):
@@ -322,9 +340,13 @@ def sturm_count_positive(p: UniPoly) -> RootCount:
 
 
 def sturm_count_open_interval(p: UniPoly, a: Fraction, b: Fraction | None) -> RootCount:
-    """Distinct roots of p in the open interval (a, b); b=None means +inf."""
-    b = None if b is None else Fraction(b)
-    return _count_open(p, Fraction(a), b)
+    """Distinct roots of p in the open interval (a, b); b=None means +inf.
+    Endpoints other than ints and Fractions are read through Fraction."""
+    if not isinstance(a, (int, Fraction)):
+        a = Fraction(a)
+    if not (b is None or isinstance(b, (int, Fraction))):
+        b = Fraction(b)
+    return _count_open(p, a, b)
 
 
 def root_upper_bound(p: UniPoly) -> Fraction:

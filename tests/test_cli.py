@@ -1,15 +1,20 @@
 import io
 import json
+import os
 import shlex
+import subprocess
+import sys
 import tracemalloc
 from contextlib import redirect_stderr
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import crnregions
 from crnregions import cli, regions
 from crnregions.classify import UnsupportedFamilyError
 from crnregions.cli import main
@@ -91,6 +96,13 @@ class TestParseCommand:
         assert result.exit_code == 2
         assert "duplicate rate label 'k1' (line 2, col 1)" in result.output
 
+    def test_non_identifier_label_exit_2(self, runner, tmp_path):
+        bad = tmp_path / "bad.crn"
+        bad.write_text("0 -> A; a; b\nA -> 0; k2\n2A -> 3A; k3\n")
+        result = runner.invoke(main, ["parse", str(bad)])
+        assert result.exit_code == 2
+        assert "rate label 'a; b' is not an identifier (line 1, col 1)" in result.output
+
     def test_repeated_reaction_exit_2(self, runner, tmp_path):
         bad = tmp_path / "bad.crn"
         bad.write_text("A -> 0; k1\nB -> A, A -> 0; k2\n")
@@ -129,6 +141,31 @@ CLASSIFICATIONS = {
     "prop51": ("OneSpecies_ab", True, True, ""),
     "running": ("TwoSpecies_zigzag", True, True, "form 3"),
 }
+
+
+class TestModuleEntry:
+    @staticmethod
+    def _run(*args):
+        # python -m crnregions with this package's source tree on the path
+        src = str(Path(crnregions.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        return subprocess.run(
+            [sys.executable, "-m", "crnregions", *args],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+            timeout=120,
+        )
+
+    def test_help(self):
+        proc = self._run("--help")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("Usage: crnregions ")
+
+    def test_analyze_matches_in_process_cli(self, runner):
+        proc = self._run("analyze", str(RUNNING))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == runner.invoke(main, ["analyze", str(RUNNING)]).output
 
 
 class TestAnalyzeCommand:

@@ -146,6 +146,14 @@ class TestOracle2D:
         assert res.continuum and res.count == 2
         assert all(x1 > 0 and x2 > 0 and x1 + x2 == 3 for x1, x2 in res.witnesses)
 
+    def test_multiple_root_off_the_class_is_no_boundary(self):
+        # on the class x1 - x2 = 1 the ODE is 4 - 27 x1 x2^2, with a double
+        # root at x2 = -2/3: the one steady state, (4/3, 1/3), is simple
+        net = parse_network("0 -> A + B; k1\nA + 2B -> B; k2")
+        res = count_positive_steady_states(steady_state_system(net), (4, 27), (1,))
+        assert (res.count, res.boundary) == (1, False)
+        assert res.witnesses == [(Fraction(4, 3), Fraction(1, 3))]
+
     def test_isolated_state_on_shifted_class(self):
         # steady set is the curve x1 x2 = 1; each class x1 - x2 = c meets it once
         net = parse_network("A + B -> 2A + 2B; k1\n2A + 2B -> A + B; k2")
@@ -426,8 +434,11 @@ def _fraction_oracle(net, kappa, c):
     if p.is_zero:
         return None  # a continuum: its sample states are not the substitution's
     count = sturm_count_open_interval(p, lo, hi)
+    # a multiple root is a root of gcd(p, p'); only one in (lo, hi) is a state
+    repeated = p.gcd(UniPoly([i * v for i, v in enumerate(p.coeffs)][1:]))
+    boundary = sturm_count_open_interval(repeated, lo, hi) > 0
     states = [point(r) for r in positive_roots(p) if r > lo and (hi is None or r < hi)]
-    return int(count), count.multiple_positive, False, states
+    return int(count), boundary, False, states
 
 
 def _case(text, kappa, c=()):
@@ -443,6 +454,7 @@ class TestIntegerSubstitution:
     @example(_case("2A + B -> 3A; k1\nA -> B; k2", (1, 1), (3,)))  # two irrational
     @example(_case("A + B -> 2A; k1\nA + B -> 2B; k2", (2, 2), (3,)))  # a continuum
     @example(_case("A + B -> A\nA + 2B -> A + 3B\nA + 3B -> A + 2B", (1, 3, 1), (2,)))
+    @example(_case("0 -> A + B; k1\nA + 2B -> B; k2", (4, 27), (1,)))  # double root off the class
     @settings(max_examples=300, deadline=None)
     def test_matches_fraction_substitution(self, case):
         net, kappa, c = case

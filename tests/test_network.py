@@ -95,6 +95,12 @@ class TestParsing:
         with pytest.raises(NetworkParseError):
             parse_network(bad)
 
+    @pytest.mark.parametrize("label", ["a; b", "2k", "k-1", "k 1", "k1'"])
+    def test_rate_label_must_be_an_identifier(self, label):
+        text = f"A -> 0; k1\n0 -> A; {label}\n2A -> 3A"
+        with pytest.raises(NetworkParseError, match=r"is not an identifier \(line 2, col 1\)"):
+            parse_network(text)
+
     def test_roundtrip_through_formatter(self, prop51_net):
         again = parse_network(format_network(prop51_net))
         assert again == prop51_net

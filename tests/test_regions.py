@@ -96,20 +96,26 @@ class TestSymPoly:
         poly = SymPoly(
             nsym, data.draw(st.dictionaries(exps, st.integers(-50, 50), max_size=6))
         )
-        first = data.draw(st.integers(0, nsym))
+        # ints, floats and Fractions, each taken at its exact value
         coords = st.one_of(
-            st.just(Fraction(0)), st.fractions(-9, 9, max_denominator=12)
+            st.just(Fraction(0)),
+            st.fractions(-9, 9, max_denominator=12),
+            st.integers(-9, 9),
+            st.floats(-9, 9),
         )
-        point = data.draw(
-            st.lists(coords, min_size=nsym - first, max_size=nsym - first)
-        )
-        scale = math.prod(
-            v.denominator ** max((e[first + j] for e in poly.terms), default=0)
-            for j, v in enumerate(point)
-        )
-        got = list(poly.term_values(point, first))
-        assert all(type(v) is int for _, v in got)
-        assert got == [(e, v * scale) for e, v in exact_terms(poly, point, first)]
+        # two calls on one polynomial: the plan compiled for the first one
+        # serves the second or is compiled again for its own first
+        for first in data.draw(st.lists(st.integers(0, nsym), min_size=2, max_size=2)):
+            point = data.draw(
+                st.lists(coords, min_size=nsym - first, max_size=nsym - first)
+            )
+            scale = math.prod(
+                Fraction(v).denominator ** max((e[first + j] for e in poly.terms), default=0)
+                for j, v in enumerate(point)
+            )
+            got = list(poly.term_values(point, first))
+            assert all(type(v) is int for _, v in got)
+            assert got == [(e, v * scale) for e, v in exact_terms(poly, point, first)]
 
     def test_evaluate_float_matches_term_loop(self):
         # the compiled terms multiply and add in the order of this loop

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crnregions import unipoly
 from crnregions.regions import trinomial_D
 from crnregions.unipoly import (
     UniPoly,
@@ -163,6 +164,30 @@ class TestIntegerCore:
         p = poly(-2, 1) ** 2 * poly(-1, 1)
         count = sturm_count_open_interval(p, Fraction(0), Fraction(2))
         assert count == 1 and count.multiple_positive
+
+    @pytest.mark.parametrize(
+        "p, count",
+        [
+            (poly(5, 2, 0, 1), 0),  # no sign change
+            (poly(-3, -5, -1, 1), 1),  # (x + 1)^2 (x - 3)
+            (poly(0, 0, -2, 1), 1),  # x^2 (x - 2): the root at 0 is not positive
+            (poly(-1, 0, 0, 0, 0, 1), 1),  # x^5 - 1
+        ],
+    )
+    def test_descartes_settles_at_most_one_sign_change(self, p, count, monkeypatch):
+        # at most one sign change: that many positive roots, none multiple,
+        # and no Sturm chain is built
+        monkeypatch.setattr(unipoly, "_sturm_chain", None)
+        got = sturm_count_positive(p)
+        assert (got, got.multiple_positive) == (count, False)
+
+    def test_two_sign_changes_take_the_sturm_chain(self, monkeypatch):
+        chains = []
+        real = unipoly._sturm_chain
+        monkeypatch.setattr(unipoly, "_sturm_chain", lambda cs: chains.append(cs) or real(cs))
+        got = sturm_count_positive(poly(-1, 1) ** 2)
+        assert (got, got.multiple_positive) == (1, True)
+        assert chains
 
     def test_interval_never_holds_zero_root(self):
         # x (x - 2) (x^2 + 2x - 4): the roots 0 and 2 are rational

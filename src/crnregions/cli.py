@@ -278,8 +278,7 @@ def _parse_fraction_list(text: str) -> tuple[Fraction, ...]:
               help="Rate constants as comma-separated rationals.")
 @click.option("--c", "c_value", type=str, default=None,
               help="Total constants as comma-separated rationals; needs --kappa.")
-@click.option("--seed", type=int, default=42, show_default=True)
-def cmd_witness(file, fmt, kappa, c_value, seed) -> None:
+def cmd_witness(file, fmt, kappa, c_value) -> None:
     """Steady states at a parameter point inside the region.
 
     Without --kappa, uses the rational witness stored with the region.
@@ -315,7 +314,6 @@ def cmd_witness(file, fmt, kappa, c_value, seed) -> None:
         "certified": result.certified,
         "continuum": result.continuum,
         "steady_states": [[str(x) for x in w] for w in result.witnesses],
-        "seed": seed,
     }
     _emit(payload, fmt, _witness_text)
 

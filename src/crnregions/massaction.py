@@ -24,8 +24,8 @@ and x_other = a + b*t > 0 (_on_line, _count_line):
   Sturm-counted.  Where no coordinate is pinned this way the oracle raises
   UnsupportedFamilyError instead of approximating.
 
-Counts are exact and without multiplicity.  Multiple roots and steady-state
-continua are reported through flags instead of being folded into the count.
+Counts are exact and without multiplicity: a double root is one steady
+state.  A continuum of steady states is flagged, and the count is then 2.
 
 The oracle substitutes and counts on Python integers: the rates go in through
 term_values, ints, floats and Fractions as they are, and each univariate
@@ -231,17 +231,17 @@ def steady_state_system(net: ReactionNetwork) -> SteadyStateSystem:
 
 @dataclass
 class SteadyStateCount:
-    """The oracle's answer.  The count is exact; the steady states behind
-    ``witnesses`` are found on first access, because isolating and refining
-    roots costs far more than counting them and most callers read only
-    ``count``.  ``certified`` is always True: every branch counts exactly
-    or refuses."""
+    """The oracle's answer: ``count`` distinct positive steady states, a
+    double root counted once, or 2 with ``continuum`` set when they form a
+    continuum.  The steady states behind ``witnesses`` are found on first
+    access, because isolating and refining roots costs far more than
+    counting them and most callers read only ``count``.  ``certified`` is
+    always True: every branch counts exactly or refuses."""
 
     certified = True
 
     count: int
     find_witnesses: Callable[[], list[tuple[Fraction, ...]]] = field(repr=False, compare=False)
-    boundary: bool = False  # a multiple positive root exists
     continuum: bool = False  # positive steady states form a continuum
 
     @cached_property
@@ -305,23 +305,15 @@ def _count(
     """Steady states point(r) for the distinct roots r of the integer
     polynomial cs in (lo, hi), hi = None meaning +inf.  A zero cs leaves the
     coordinate free: a continuum, sampled at the midpoint of (lo, hi) and at
-    the midpoint of the half above it.  boundary is set by a multiple root
-    in (lo, hi) only: one outside it is no steady state."""
+    the midpoint of the half above it."""
     if not cs:
         mid = lo + 1 if hi is None else (lo + hi) / 2
         mid2 = mid + 1 if hi is None else (mid + hi) / 2
         return SteadyStateCount(2, lambda: [point(mid), point(mid2)], continuum=True)
     p = UniPoly(cs)
-    count = sturm_count_open_interval(p, lo, hi)
-    boundary = count.multiple_positive  # a multiple root in (0, inf)
-    if boundary and (lo or hi is not None):
-        # the multiple roots of p are the roots of gcd(p, p')
-        g = p.gcd(UniPoly([i * v for i, v in enumerate(cs)][1:]))
-        boundary = bool(sturm_count_open_interval(g, lo, hi))
     return SteadyStateCount(
-        int(count),
+        sturm_count_open_interval(p, lo, hi),
         lambda: [point(r) for r in positive_roots(p) if r > lo and (hi is None or r < hi)],
-        boundary=boundary,
     )
 
 
@@ -406,7 +398,6 @@ def _count_full_dimensional(net: ReactionNetwork, subs) -> SteadyStateCount:
         return SteadyStateCount(
             sum(part.count for part in parts),
             lambda: [w for part in parts for w in part.witnesses],
-            boundary=any(part.boundary for part in parts),
         )
     raise UnsupportedFamilyError(
         "no ODE pins a coordinate to rational values; the oracle does not cover this network"

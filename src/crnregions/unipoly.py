@@ -171,8 +171,7 @@ def descartes_sign_changes(p: UniPoly) -> int:
 # while counting.  For a p that is not squarefree the chain of (p, p') ends
 # in gcd(p, p'), and its sign variations still count the distinct roots of p
 # between two points that are not roots (Basu-Pollack-Roy, Algorithms in
-# Real Algebraic Geometry, Thm 2.50): one chain answers both how many roots
-# lie in an interval and whether p has a multiple root.
+# Real Algebraic Geometry, Thm 2.50).
 
 
 def _primitive(cs: list[int]) -> list[int]:
@@ -254,27 +253,17 @@ def _variations_at(chain: list[list[int]], x: Fraction | None) -> int:
     return _variations(_sign_at(q, x.numerator, x.denominator) for q in chain)
 
 
-def _strip_root(cs: list[int], x: Fraction) -> tuple[list[int], int]:
-    """Divide cs by (den*X - num), x = num/den, while x is a root; returns
-    (quotient, multiplicity).  Gauss's lemma keeps the quotient integral."""
+def _strip_root(cs: list[int], x: Fraction) -> list[int]:
+    """Divide cs by (den*X - num), x = num/den, while x is a root.  Gauss's
+    lemma keeps the quotient integral."""
     num, den = x.numerator, x.denominator
-    mult = 0
     while len(cs) > 1 and _sign_at(cs, num, den) == 0:
         q = [0] * (len(cs) - 1)
         q[-1] = cs[-1] // den
         for i in range(len(cs) - 2, 0, -1):
             q[i - 1] = (cs[i] + num * q[i]) // den
         cs = q
-        mult += 1
-    return cs, mult
-
-
-def _has_positive_root(cs: list[int]) -> bool:
-    cs, _ = _strip_root(cs, Fraction(0))
-    if len(cs) == 1:
-        return False
-    chain = _sturm_chain(cs)
-    return _variations_at(chain, Fraction(0)) > _variations_at(chain, None)
+    return cs
 
 
 def _exact_quotient(a: list[int], b: list[int]) -> list[int]:
@@ -290,56 +279,37 @@ def _exact_quotient(a: list[int], b: list[int]) -> list[int]:
     return _positive_primitive(q)
 
 
-class RootCount(int):
-    """A count of distinct roots that also records, from the same Sturm
-    chain, whether the polynomial has a multiple root in (0, inf)."""
-
-    multiple_positive: bool
-
-    def __new__(cls, count: int, multiple_positive: bool) -> "RootCount":
-        self = super().__new__(cls, count)
-        self.multiple_positive = multiple_positive
-        return self
-
-
-def _count_open(p: UniPoly, a: Fraction, b: Fraction | None) -> RootCount:
+def _count_open(p: UniPoly, a: Fraction, b: Fraction | None) -> int:
     """Distinct roots of p in the open interval (a, b); b = None means +inf.
 
     On (0, inf) Descartes' rule of signs comes first: at most one sign
-    change in the coefficients means no positive root or exactly one, and
-    that one simple, since the rule bounds the roots counted with
-    multiplicity.  Otherwise roots at the endpoints are divided out, so the
-    Sturm chain is evaluated at two non-roots; a positive endpoint that is a
-    multiple root still counts as a multiple positive root.
+    change in the coefficients means no positive root or exactly one.
+    Otherwise roots at the endpoints are divided out, so the Sturm chain is
+    evaluated at two non-roots.
     """
     if p.is_zero:
         raise ZeroPolynomialError("Sturm count requires a nonzero polynomial")
     if b is None and not a:
         changes = _variations(p.coeffs)
         if changes <= 1:
-            return RootCount(changes, False)
+            return changes
     cs = _primitive(list(p.coeffs))
-    multiple = False
     for x in (a, b):
         if x is not None:
-            cs, mult = _strip_root(cs, x)
-            multiple = multiple or (mult > 1 and x > 0)
+            cs = _strip_root(cs, x)
     if len(cs) == 1:
-        return RootCount(0, multiple)
+        return 0
     chain = _sturm_chain(cs)
-    count = _variations_at(chain, a) - _variations_at(chain, b)
-    gcd = chain[-1]
-    if not multiple and len(gcd) > 1:
-        multiple = _has_positive_root(gcd)
-    return RootCount(count, multiple)
+    return _variations_at(chain, a) - _variations_at(chain, b)
 
 
-def sturm_count_positive(p: UniPoly) -> RootCount:
-    """Number of distinct roots in (0, inf), by one integer Sturm chain."""
+def sturm_count_positive(p: UniPoly) -> int:
+    """Number of distinct roots in (0, inf): Descartes' rule, else one
+    integer Sturm chain."""
     return _count_open(p, Fraction(0), None)
 
 
-def sturm_count_open_interval(p: UniPoly, a: Fraction, b: Fraction | None) -> RootCount:
+def sturm_count_open_interval(p: UniPoly, a: Fraction, b: Fraction | None) -> int:
     """Distinct roots of p in the open interval (a, b); b=None means +inf.
     Endpoints other than ints and Fractions are read through Fraction."""
     if not isinstance(a, (int, Fraction)):
@@ -424,7 +394,7 @@ def isolate_positive_roots(p: UniPoly,
     rational = sorted(r for r in rational_roots(sf) if r > 0)
     work = list(sf.coeffs)
     for r in rational:
-        work, _ = _strip_root(work, r)
+        work = _strip_root(work, r)
     intervals: list[tuple[Fraction, Fraction]] = [(r, r) for r in rational]
     if len(work) == 1:
         return intervals

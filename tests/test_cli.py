@@ -359,6 +359,18 @@ class TestWitnessCommand:
         assert doc["count"] == 2 and doc["certified"] is True
         assert sorted(doc["steady_states"]) == [["1/2", "2"], ["2", "1/2"]]
 
+    def test_json_keys(self, runner):
+        doc = run_json(runner, "witness", str(RUNNING), "--kappa", "1,1", "--c", "5/2")
+        assert set(doc) == {
+            "schema_version", "kappa", "c", "count", "certified", "continuum", "steady_states",
+        }
+
+    def test_seed_is_no_option(self, runner):
+        # witness draws nothing at random
+        result = runner.invoke(main, ["witness", str(RUNNING), "--seed", "1"])
+        assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
+        assert "No such option" in result.output and "--seed" in result.output
+
     def test_stored_witness(self, runner):
         doc = run_json(runner, "witness", str(EX53))
         assert doc["count"] == 2

@@ -63,20 +63,21 @@ class TestOracle1D:
         res = count_positive_steady_states(sys, (1, 1, 1, 1, 1, 1))
         assert res.continuum
 
-    def test_boundary_flag_on_double_root(self):
+    def test_double_root_counts_once(self):
         net = parse_network("0 -> A; k1\nA -> 0; k2\n2A -> 3A; k3")
         sys = steady_state_system(net)
         # k3 x^2 - k2 x + k1 = x^2 - 2x + 1 has a double root at 1
         res = count_positive_steady_states(sys, (1, 2, 1))
-        assert res.count == 1 and res.boundary
+        assert res.count == 1 and not res.continuum
+        assert res.witnesses == [(Fraction(1),)]
 
-    def test_continuum_when_rhs_vanishes(self):
+    def test_unit_rates_give_one_state(self):
         net = parse_network("A -> 2A; k1\n2A -> A; k2, 0 -> A; k3\nA -> 0; k4")
         sys = steady_state_system(net)
-        # k1 x - k2 x^2 + k3 - k4 x with k1=k4, k2=k3=0 impossible (rates > 0);
-        # use a pair of nets below instead. Here just check a generic count.
+        # k1 x - k2 x^2 + k3 - k4 x is 1 - x^2 at unit rates: x = 1 only
         res = count_positive_steady_states(sys, (1, 1, 1, 1))
-        assert res.certified
+        assert res.count == 1 and not res.continuum
+        assert res.witnesses == [(Fraction(1),)]
 
 
 class TestOracle2D:
@@ -112,7 +113,8 @@ class TestOracle2D:
     def test_running_example_boundary_class(self, running_net):
         sys = steady_state_system(running_net)
         res = count_positive_steady_states(sys, (1, 1), (Fraction(2),))
-        assert res.count == 1 and res.boundary
+        assert res.count == 1 and not res.continuum
+        assert res.witnesses == [(Fraction(1), Fraction(1))]
 
     def test_acr_network_multistationary_point(self, acr_net):
         sys = steady_state_system(acr_net)
@@ -151,7 +153,7 @@ class TestOracle2D:
         # root at x2 = -2/3: the one steady state, (4/3, 1/3), is simple
         net = parse_network("0 -> A + B; k1\nA + 2B -> B; k2")
         res = count_positive_steady_states(steady_state_system(net), (4, 27), (1,))
-        assert (res.count, res.boundary) == (1, False)
+        assert res.count == 1
         assert res.witnesses == [(Fraction(4, 3), Fraction(1, 3))]
 
     def test_isolated_state_on_shifted_class(self):
@@ -204,7 +206,7 @@ class TestOracleFullDimensional:
         # species order (B, A): the ODE of A, the second coordinate, pins it
         sys = steady_state_system(parse_network(REORDERED_ACR))
         res = count_positive_steady_states(sys, (1, 1, 5, 1, 1))
-        assert res.count == 2 and res.certified and not res.boundary
+        assert res.count == 2 and res.certified
         assert [xa for _, xa in res.witnesses] == [Fraction(1), Fraction(1)]
         assert all(xb > 0 for xb, _ in res.witnesses)
 
@@ -379,7 +381,7 @@ def _on_line_nets(draw):
 
 
 def _fraction_oracle(net, kappa, c):
-    """(count, boundary, continuum, steady states) from the oracle's
+    """(count, continuum, steady states) from the oracle's
     substitution as it ran on Fractions before the integer one."""
     sys = steady_state_system(net)
     n = net.num_species
@@ -422,23 +424,20 @@ def _fraction_oracle(net, kappa, c):
             elif b0 < 0:
                 hi = -a0 / b0
             elif a0 <= 0:
-                return 0, False, False, []
+                return 0, False, []
             if hi is not None and hi <= lo:
-                return 0, False, False, []
+                return 0, False, []
             point = lambda r: (r, a0 + b0 * r)  # noqa: E731
         else:
             if cval <= 0:
-                return 0, False, False, []
+                return 0, False, []
             cs, lo, hi, point = collect(1, cval), Fraction(0), None, lambda r: (cval, r)
     p = UniPoly.from_rationals(cs)
     if p.is_zero:
         return None  # a continuum: its sample states are not the substitution's
     count = sturm_count_open_interval(p, lo, hi)
-    # a multiple root is a root of gcd(p, p'); only one in (lo, hi) is a state
-    repeated = p.gcd(UniPoly([i * v for i, v in enumerate(p.coeffs)][1:]))
-    boundary = sturm_count_open_interval(repeated, lo, hi) > 0
     states = [point(r) for r in positive_roots(p) if r > lo and (hi is None or r < hi)]
-    return int(count), boundary, False, states
+    return count, False, states
 
 
 def _case(text, kappa, c=()):
@@ -463,4 +462,4 @@ class TestIntegerSubstitution:
         if want is None:
             assert res.continuum and res.count == 2
         else:
-            assert (res.count, res.boundary, res.continuum, res.witnesses) == want
+            assert (res.count, res.continuum, res.witnesses) == want

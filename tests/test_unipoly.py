@@ -157,13 +157,17 @@ def _fraction_bisection(p, a, b, rel_width=Fraction(1, 10**12)):
 
 class TestIntegerCore:
     def test_multiple_positive_root_flag(self):
-        assert sturm_count_positive(poly(-1, 1) ** 2 * poly(-3, 1)).multiple_positive
-        assert not sturm_count_positive(poly(1, 1) ** 2 * poly(-3, 1)).multiple_positive
-        assert not sturm_count_positive(poly(0, 0, -3, 1)).multiple_positive
-        # a double root at an endpoint of the interval still counts
+        # distinct roots: a multiple root counts once, and a plain int
+        for p, want in [
+            (poly(-1, 1) ** 2 * poly(-3, 1), 2),
+            (poly(1, 1) ** 2 * poly(-3, 1), 1),
+            (poly(0, 0, -3, 1), 1),
+        ]:
+            got = sturm_count_positive(p)
+            assert type(got) is int and got == want
+        # a double root at an endpoint of the interval is outside it
         p = poly(-2, 1) ** 2 * poly(-1, 1)
-        count = sturm_count_open_interval(p, Fraction(0), Fraction(2))
-        assert count == 1 and count.multiple_positive
+        assert sturm_count_open_interval(p, Fraction(0), Fraction(2)) == 1
 
     @pytest.mark.parametrize(
         "p, count",
@@ -175,18 +179,16 @@ class TestIntegerCore:
         ],
     )
     def test_descartes_settles_at_most_one_sign_change(self, p, count, monkeypatch):
-        # at most one sign change: that many positive roots, none multiple,
-        # and no Sturm chain is built
+        # at most one sign change: that many positive roots, and no Sturm
+        # chain is built
         monkeypatch.setattr(unipoly, "_sturm_chain", None)
-        got = sturm_count_positive(p)
-        assert (got, got.multiple_positive) == (count, False)
+        assert sturm_count_positive(p) == count
 
     def test_two_sign_changes_take_the_sturm_chain(self, monkeypatch):
         chains = []
         real = unipoly._sturm_chain
         monkeypatch.setattr(unipoly, "_sturm_chain", lambda cs: chains.append(cs) or real(cs))
-        got = sturm_count_positive(poly(-1, 1) ** 2)
-        assert (got, got.multiple_positive) == (1, True)
+        assert sturm_count_positive(poly(-1, 1) ** 2) == 1
         assert chains
 
     def test_interval_never_holds_zero_root(self):
@@ -242,16 +244,14 @@ class TestAgainstSympy:
 
     @given(_factored_polys(), st.data())
     @settings(max_examples=150, deadline=None)
-    def test_counts_flags_and_roots(self, p, data):
+    def test_counts_and_roots(self, p, data):
         sympy = pytest.importorskip("sympy")
         x = sympy.Symbol("x")
         ref = sympy.Poly([int(c) for c in reversed(p.coeffs)], x)
         real = ref.real_roots(multiple=False) if ref.degree() > 0 else []
         positive = [(r, m) for r, m in real if r.is_positive]
 
-        count = sturm_count_positive(p)
-        assert count == len(positive)
-        assert count.multiple_positive == any(m > 1 for _, m in positive)
+        assert sturm_count_positive(p) == len(positive)
 
         ends = [Fraction(0)] + [Fraction(int(r.p), int(r.q)) for r, _ in positive if r.is_Rational]
         lo = data.draw(st.sampled_from(ends) | st.fractions(0, 3, max_denominator=4))

@@ -12,6 +12,11 @@ seeded draws of the self-check's sampler on each bundled net, and at each
 net's stored witnesses, so any change to the oracle's counts or to the states
 it lists changes that digest.
 
+The probe case hashes ProbeReport.to_json() for the bench's four probe
+configurations at seeds 1-5, and for ProbeConfig() on every bundled allowing
+and enabling region, so a change to the probe's draws, links or merges, which
+the reference probe in test_connectivity.py shares in part, changes it.
+
 The digests live in tests/golden/corpus_fingerprint.json.  After a change
 that is meant to alter region output, regenerate them with
 
@@ -30,6 +35,7 @@ from pathlib import Path
 import pytest
 
 from crnregions.classify import UnsupportedFamilyError
+from crnregions.connectivity import ProbeConfig, probe
 from crnregions.massaction import count_positive_steady_states, steady_state_system
 from crnregions.network import Complex, Reaction, ReactionNetwork, parse_network
 from crnregions.regions import connectivity_verdict, region_to_json, regions_for_network
@@ -142,6 +148,29 @@ def oracle_fingerprint(seed: int = 2023, samples: int = 200) -> dict:
     return {"points": points, "sha256": h.hexdigest()}
 
 
+# the bench's probe configurations: allowing region, samples, default box
+PROBE_NETS = (("running", 600), ("acr", 1200), ("prop51", 4000), ("ex53", 1300))
+
+
+def probe_fingerprint() -> dict:
+    h = hashlib.sha256()
+    regions = {
+        path.stem: regions_for_network(parse_network(path.read_text()))
+        for path in sorted(NETS.glob("*.crn"))
+    }
+    runs = [
+        (name, "allowing", ProbeConfig(seed=seed, n_samples=samples))
+        for name, samples in PROBE_NETS
+        for seed in range(1, 6)
+    ]
+    runs += [(name, kind, ProbeConfig()) for name in regions for kind in ("allowing", "enabling")]
+    for name, kind, cfg in runs:
+        enabling, allowing = regions[name]
+        report = probe(allowing if kind == "allowing" else enabling, cfg)
+        h.update(json.dumps([name, kind, report.to_json()]).encode() + b"\n")
+    return {"probes": len(runs), "sha256": h.hexdigest()}
+
+
 @pytest.mark.parametrize("name", SLICES)
 def test_corpus_slice_fingerprint(name):
     want = json.loads(DIGESTS.read_text())[name]
@@ -153,8 +182,14 @@ def test_oracle_fingerprint():
     assert oracle_fingerprint() == want, "oracle answers on the bundled nets changed"
 
 
+def test_probe_fingerprint():
+    want = json.loads(DIGESTS.read_text())["probe"]
+    assert probe_fingerprint() == want, "probe reports on the bundled nets changed"
+
+
 if __name__ == "__main__":
     digests = {name: fingerprint(nets()) for name, nets in SLICES.items()}
     digests["oracle"] = oracle_fingerprint()
+    digests["probe"] = probe_fingerprint()
     DIGESTS.write_text(json.dumps(digests, indent=2) + "\n")
     print(json.dumps(digests, indent=2))

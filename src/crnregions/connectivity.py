@@ -17,7 +17,19 @@ fixed-radius near neighbours) on the first three sampling coordinates, so
 the report, edge count included, is the one the test over all pairs gives.
 The merge pass tries pairs of representatives in a fixed order, as the path
 search draws from the seeded generator, and stops once no two components
-share a conjunct.
+share a conjunct.  The pairs that no direct or one-waypoint path joins then
+try three-leg detours, in a second round that draws nothing, so a seed
+whose first round joins every pair it can keeps its report.
+
+The float work runs in batches.  Draws are sampled and tested CHUNK at a
+time, one condition at a time over the draws that passed the ones before,
+each condition through one compiled expression (SymPoly.evaluate_floats).
+A segment test computes each term at all its checkpoints as one column.
+math.dist settles every candidate link except those within 1e-9 of the
+link radius, which get the exact sum-of-squares test.  Every float is still
+computed by the same operations in the same order as for one draw, one
+checkpoint or one pair at a time, so a seed's report is unchanged by the
+batching, bit for bit.
 
 Rate coordinates are strictly positive and are sampled log-uniformly;
 segments and distances for them live in log coordinates, which respects
@@ -34,13 +46,22 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import Sequence, TextIO
+from operator import add, mul, sub
+from typing import Callable, Sequence, TextIO
 
-from .regions import _SIGNS, Region
+from .regions import _FLOAT_TESTS, Region
 
 LINK_RADIUS = 1.0  # hits this close in sampling coordinates are link candidates
 SEGMENT_CHECKS = 32  # interior checkpoints of each segment test
 MERGE_RESTARTS = 64  # one-waypoint tries per pair of representatives
+CHUNK = 256  # draws sampled and tested per batch
+DETOUR_SHIFTS = (1, -1, 2, -2, 3, -3)  # k of the 2^k rate scalings a detour tries
+
+# the checkpoints' t = j / (SEGMENT_CHECKS + 1), 0 < j <= SEGMENT_CHECKS
+_TS = [j / (SEGMENT_CHECKS + 1) for j in range(1, SEGMENT_CHECKS + 1)]
+# math.dist bounds around the link radius (_within_radius): the margins
+# dwarf the rounding of math.dist and of the exact sum of squares
+_NEAR, _FAR = LINK_RADIUS * (1 - 1e-9), LINK_RADIUS * (1 + 1e-9)
 
 
 @dataclass(frozen=True)
@@ -107,11 +128,28 @@ class _UnionFind:
             self.parent[ri] = rj
 
 
+def _sample_points(
+    rng: random.Random, region: Region, lo: float, hi: float, m: int
+) -> list[tuple[float, ...]]:
+    """m draws: each rate exp of a uniform draw in [log lo, log hi], each
+    total a uniform draw in [-hi, hi].
+
+    The rng is called draw by draw and coordinate by coordinate, and
+    rng.uniform(a, b) is a + (b - a) * rng.random(), so each draw is the one
+    that rng.uniform, called coordinate by coordinate, gives, bit for bit.
+    """
+    exp, llo, lhi = math.exp, math.log(lo), math.log(hi)
+    d = len(region.ambient)
+    rates = itertools.cycle([True] * (d - region.totals) + [False] * region.totals)
+    values = [
+        exp(llo + (lhi - llo) * r) if rate else -hi + (hi - -hi) * r
+        for rate, r in zip(rates, [rng.random() for _ in range(m * d)])
+    ]
+    return list(zip(*[iter(values)] * d))  # d consecutive values per draw
+
+
 def _sample_point(rng: random.Random, region: Region, lo: float, hi: float):
-    llo, lhi = math.log(lo), math.log(hi)
-    n = len(region.ambient) - region.totals
-    rates = tuple(math.exp(rng.uniform(llo, lhi)) for _ in range(n))
-    return rates + tuple(rng.uniform(-hi, hi) for _ in range(region.totals))
+    return _sample_points(rng, region, lo, hi, 1)[0]
 
 
 def _coords(region: Region, point: Sequence[float]) -> tuple[float, ...]:
@@ -120,24 +158,43 @@ def _coords(region: Region, point: Sequence[float]) -> tuple[float, ...]:
     return tuple(map(math.log, point[:n])) + tuple(point[n:])
 
 
-def _conjunct_indices(region: Region, pt) -> set[int]:
-    return {
-        i
-        for i, conj in enumerate(region.conjuncts)
-        if all(cond.holds_float(pt) for cond in conj)
-    }
+def _held(region: Region, points: Sequence[Sequence[float]]) -> list[frozenset[int]]:
+    """The conjuncts that hold at each point of a batch (the points outside
+    share one empty set).
+
+    A conjunct's conditions are tested in order, each one only at the points
+    that passed the ones before, so each point gets the float evaluations
+    that testing it alone, condition by condition, would make.
+    """
+    held: list[frozenset[int]] = [frozenset()] * len(points)
+    for k, conj in enumerate(region.conjuncts):
+        idx, rows = range(len(points)), points
+        for cond in conj:
+            mask = list(cond.holds_floats(rows))
+            if not all(mask):
+                idx = list(itertools.compress(idx, mask))
+                rows = list(itertools.compress(rows, mask))
+                if not idx:
+                    break
+        for t in idx:
+            held[t] = held[t] | {k}
+    return held
 
 
-def _checkpoint_tables(region: Region) -> list[list[tuple[int, list]]]:
+def _conjunct_indices(region: Region, pt) -> frozenset[int]:
+    return _held(region, [pt])[0]
+
+
+def _checkpoint_tables(region: Region) -> list[list[tuple[Callable[[float], bool], list]]]:
     """Per conjunct, the conditions that the segment test checkpoints, as
-    (sign of the relation, terms), a term being (sign of c, log|c|, rate
+    (float test of the relation, terms), a term being (sign of c, log|c|, rate
     exponents, (index, e) pairs of the total-constant exponents).  Half-spaces
     are left out: holding at both endpoints, they hold on the whole segment.
     """
     n = len(region.ambient) - region.totals
     return [
         [
-            (_SIGNS[c.rel], [
+            (_FLOAT_TESTS[c.rel], [
                 (math.copysign(1.0, k), math.log(abs(k)), e[:n],
                  [(i, x) for i, x in enumerate(e[n:], n) if x])
                 for e, k in c.poly.terms.items()
@@ -149,29 +206,29 @@ def _checkpoint_tables(region: Region) -> list[list[tuple[int, list]]]:
     ]
 
 
-def _holds_along(rel: int, terms: list, cp, cq) -> bool:
-    """The condition holds at cp + t (cq - cp) for t = j / (SEGMENT_CHECKS + 1),
-    0 < j <= SEGMENT_CHECKS; one exp per term, of log|c| + e·cp + t e·(cq - cp)
-    over the rates."""
-    line = [
-        (s, lc + sum(x * u for x, u in zip(er, cp)),
-         sum(x * (v - u) for x, u, v in zip(er, cp, cq)),
-         [(cp[i], cq[i] - cp[i], x) for i, x in tots])
-        for s, lc, er, tots in terms
-    ]
-    for j in range(1, SEGMENT_CHECKS + 1):
-        t, v = j / (SEGMENT_CHECKS + 1), 0.0
-        for s, a, b, tots in line:
-            w = s * math.exp(a + t * b)
-            for c0, dc, x in tots:
-                w *= (c0 + t * dc) ** x
-            v += w
-        if not (v < 0 if rel < 0 else v > 0 if rel else v == 0):
-            return False
-    return True
+def _holds_along(test: Callable[[float], bool], terms: list, cp, cq) -> bool:
+    """The condition holds at cp + t (cq - cp) for each checkpoint t in _TS.
+
+    Each term is one column over the checkpoints: s exp(a + t b), with
+    a = log|c| + e·cp and b = e·(cq - cp) over the rates, times
+    (c0 + t dc) ** x for each total, and the columns are summed in term order
+    from 0.0: at each checkpoint, the operations of evaluating it alone.
+    """
+    exp = math.exp
+    steps = list(map(sub, cq, cp))
+    total = [0.0] * SEGMENT_CHECKS
+    for s, lc, er, tots in terms:
+        a = lc + sum(map(mul, er, cp))
+        b = sum(map(mul, er, steps))
+        col = [s * exp(a + t * b) for t in _TS]
+        for i, x in tots:
+            c0, dc = cp[i], steps[i]
+            col = [w * (c0 + t * dc) ** x for w, t in zip(col, _TS)]
+        total = list(map(add, total, col))
+    return all(map(test, total))
 
 
-def _segment_inside(tables: list, cp, cq, live: set[int]) -> bool:
+def _segment_inside(tables: list, cp, cq, live: frozenset[int]) -> bool:
     """Check the segment from cp to cq (sampling coordinates) stays inside
     one of the conjuncts live, those that hold at both endpoints.
 
@@ -210,18 +267,31 @@ def _cell_neighbours(coords: list[tuple[float, ...]], radius: float) -> list[lis
     return [near[key] for key in keys]
 
 
-def _squared_distances(
-    ci: tuple[float, ...], others: list[tuple[float, ...]]
-) -> list[float]:
-    """sum((a - b) ** 2 for a, b in zip(ci, cj)) for each cj in others.
+def _squared_distance(ci: tuple[float, ...], cj: tuple[float, ...]) -> float:
+    """sum([(a - b) ** 2 for a, b in zip(ci, cj)]): the link test's distance,
+    which _within_radius computes only for pairs near the link radius."""
+    return sum([(a - b) ** 2 for a, b in zip(ci, cj)])
 
-    With two coordinates the sum is spelled out, several times faster:
-    0 + t0 + t1 rounds to the same float as sum(), compensated or not.
+
+def _within_radius(
+    ci: tuple[float, ...], later: list[int], coords: list[tuple[float, ...]]
+) -> list[int]:
+    """The j in later, in order, with _squared_distance(ci, coords[j]) <=
+    LINK_RADIUS ** 2.
+
+    math.dist measures every pair at C speed.  It and the sum of squares each
+    err by a few units in the last place, far below the 1e-9 margins: a pair
+    within _NEAR passes the exact test and one beyond _FAR fails it, so only
+    the pairs in between are measured again, and the result is the exact
+    test's on all of later.
     """
-    if len(ci) == 2:
-        x, y = ci
-        return [(x - a) ** 2 + (y - b) ** 2 for a, b in others]
-    return [sum([(a - b) ** 2 for a, b in zip(ci, cj)]) for cj in others]
+    ds = list(map(math.dist, itertools.repeat(ci), map(coords.__getitem__, later)))
+    r2 = LINK_RADIUS**2
+    return [
+        j
+        for j, d in itertools.compress(zip(later, ds), map(_FAR.__ge__, ds))
+        if d <= _NEAR or _squared_distance(ci, coords[j]) <= r2
+    ]
 
 
 def probe(region: Region, config: ProbeConfig = ProbeConfig()) -> ProbeReport:
@@ -230,28 +300,24 @@ def probe(region: Region, config: ProbeConfig = ProbeConfig()) -> ProbeReport:
     lo, hi = config.box
     # the hits, and the conjuncts that hold at each
     hits: list[tuple[float, ...]] = []
-    conj: list[set[int]] = []
-    for _ in range(config.n_samples):
-        pt = _sample_point(rng, region, lo, hi)
-        if held := _conjunct_indices(region, pt):
-            hits.append(pt)
-            conj.append(held)
+    conj: list[frozenset[int]] = []
+    for start in range(0, config.n_samples, CHUNK):
+        draws = _sample_points(rng, region, lo, hi, min(CHUNK, config.n_samples - start))
+        for pt, held in zip(draws, _held(region, draws)):
+            if held:
+                hits.append(pt)
+                conj.append(held)
     if not hits:
         return ProbeReport(config.n_samples, 0, 0, (), (), 0, config)
     uf = _UnionFind(len(hits))
     tables = _checkpoint_tables(region)
     coords = [_coords(region, h) for h in hits]
-    r2 = LINK_RADIUS**2
     edges = 0
     # pairs in (i, j) order, as over all pairs: edge_count depends on it.
     # ri is i's root, kept current across the unions i takes part in.
     for i, near in enumerate(_cell_neighbours(coords, LINK_RADIUS)):
-        later = near[bisect.bisect_right(near, i):]
-        d2s = _squared_distances(coords[i], [coords[j] for j in later])
         ri = uf.find(i)
-        for j, d2 in zip(later, d2s):
-            if d2 > r2:
-                continue
+        for j in _within_radius(coords[i], near[bisect.bisect_right(near, i):], coords):
             rj = uf.find(j)
             if ri == rj:
                 edges += 1
@@ -263,24 +329,32 @@ def probe(region: Region, config: ProbeConfig = ProbeConfig()) -> ProbeReport:
     # merge pass: sparse sampling can shatter a connected region into many
     # graph components; join representatives reachable by a checked path.
     # Pairs are tried in a fixed order, near or not, so that the rng draws
-    # stay the same; pairs in disjoint conjuncts are skipped.  held maps a
+    # stay the same; pairs in disjoint conjuncts are skipped.  The pairs that
+    # no direct or one-waypoint path joins then try detours to the hits of
+    # b's component, in a second round that draws nothing.  held maps a
     # root to its representatives' conjuncts, and shared counts the components
     # of each conjunct beyond its first: at 0 no pair is left to try.
     reps = _component_reps(uf, len(hits))
     held = {uf.find(a): conj[a] for a in reps}
     shared = sum(map(len, held.values())) - len(set().union(*held.values()))
-    for a, b in itertools.product(reps, repeat=2):
-        if not shared:
-            break
-        ra, rb = uf.find(a), uf.find(b)
-        if ra == rb or not (conj[a] & conj[b]):
-            continue
-        path = _find_path(region, tables, hits[a], hits[b], conj[a], conj[b], rng, config.box)
-        if path is None:
-            continue
-        uf.union(a, b)
-        shared -= len(held[ra] & held[rb])
-        held[uf.find(a)] = held.pop(ra) | held.pop(rb)
+    searches = (
+        lambda a, b: _find_path(
+            region, tables, hits[a], hits[b], conj[a], conj[b], rng, config.box
+        ),
+        lambda a, b: _detour(region, tables, hits[a], conj[a], [
+            (hits[h], conj[h]) for h in range(len(hits)) if uf.find(h) == uf.find(b)
+        ]),
+    )
+    for search in searches:
+        for a, b in itertools.product(reps, repeat=2):
+            if not shared:
+                break
+            ra, rb = uf.find(a), uf.find(b)
+            if ra == rb or not (conj[a] & conj[b]) or search(a, b) is None:
+                continue
+            uf.union(a, b)
+            shared -= len(held[ra] & held[rb])
+            held[uf.find(a)] = held.pop(ra) | held.pop(rb)
     comp: dict[int, list[int]] = {}
     for i in range(len(hits)):
         comp.setdefault(uf.find(i), []).append(i)
@@ -304,7 +378,7 @@ def _component_reps(uf: _UnionFind, n: int) -> list[int]:
 
 
 def _find_path(
-    region: Region, tables: list, p, q, sp: set[int], sq: set[int], rng: random.Random,
+    region: Region, tables: list, p, q, sp: frozenset[int], sq: frozenset[int], rng: random.Random,
     box: tuple[float, float],
 ) -> list[tuple[float, ...]] | None:
     """The direct segment, else the first of up to MERGE_RESTARTS one-waypoint
@@ -327,11 +401,43 @@ def _find_path(
     return None
 
 
+def _detour(
+    region: Region, tables: list, p, sp: frozenset[int],
+    targets: list[tuple[tuple, frozenset[int]]],
+) -> list[tuple[float, ...]] | None:
+    """The first three-leg path p, p', q', q that stays inside, or None.
+
+    p' and q' scale one rate of p and of a target q by the same 2^k, k in
+    DETOUR_SHIFTS: a shift by k log 2 along one axis of the sampling
+    coordinates.  Rates are tried in order, then shifts, then the targets,
+    (q, conjuncts that hold at q) pairs, in their order; sp holds at p.
+    Nothing is drawn at random.
+    """
+    cp = _coords(region, p)
+    for i in range(len(region.ambient) - region.totals):
+        for k in DETOUR_SHIFTS:
+            f = 2.0**k
+            p2 = p[:i] + (p[i] * f,) + p[i + 1:]
+            s2 = _conjunct_indices(region, p2)
+            cp2 = _coords(region, p2)
+            if not _segment_inside(tables, cp, cp2, sp & s2):
+                continue
+            moved = [q[:i] + (q[i] * f,) + q[i + 1:] for q, _ in targets]
+            for (q, sq), q2, sq2 in zip(targets, moved, _held(region, moved)):
+                cq2 = _coords(region, q2)
+                if _segment_inside(tables, cp2, cq2, s2 & sq2) and _segment_inside(
+                    tables, cq2, _coords(region, q), sq2 & sq
+                ):
+                    return [p, p2, q2, q]
+    return None
+
+
 def connect_witnesses(
     region: Region, p: Sequence[float], q: Sequence[float]
 ) -> list[tuple[float, ...]] | None:
     """Search for a piecewise segment path inside the region from p to q,
-    with the probe's default seed and box.
+    with the probe's default seed and box: the direct segment, one-waypoint
+    paths, then three-leg detours (_find_path, _detour).
 
     Returns the waypoint list (including endpoints) or None when no path
     is found within the restart budget; None is not a disconnectedness
@@ -346,4 +452,6 @@ def connect_witnesses(
         return [p]
     rng = random.Random(ProbeConfig.seed)
     tables = _checkpoint_tables(region)
-    return _find_path(region, tables, p, q, sp, sq, rng, ProbeConfig.box)
+    return _find_path(region, tables, p, q, sp, sq, rng, ProbeConfig.box) or _detour(
+        region, tables, p, sp, [(q, sq)]
+    )

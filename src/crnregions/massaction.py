@@ -63,12 +63,12 @@ EXACT_TYPES = (int, float, Fraction)
 class SymPoly:
     """Sparse polynomial with integer coefficients over a fixed symbol list."""
 
-    __slots__ = ("nsym", "terms", "_float_terms", "_degrees")
+    __slots__ = ("nsym", "terms", "_float_eval", "_degrees")
 
     def __init__(self, nsym: int, terms: dict[tuple[int, ...], int] | None = None):
         self.nsym = nsym
         self.terms = {e: c for e, c in (terms or {}).items() if c != 0}
-        self._float_terms: list[tuple[float, list[tuple[int, int]]]] | None = None
+        self._float_eval: Callable[[Sequence], list[float]] | None = None
         self._degrees: tuple | None = None  # term_values's compiled plan
 
     @classmethod
@@ -176,21 +176,43 @@ class SymPoly:
             out.append((free, c))
         return out
 
-    def evaluate_float(self, point: Sequence[float]) -> float:
-        # (coefficient, nonzero exponents) per term, compiled on first use;
-        # the products and sums run in the same order as over self.terms
-        terms = self._float_terms
-        if terms is None:
-            terms = self._float_terms = [
-                (float(c), [(i, x) for i, x in enumerate(e) if x])
+    def evaluate_floats(self, points: Sequence[Sequence[float]]) -> list[float]:
+        """The float value at each point of a batch.
+
+        At each point the value is that of the term loop over self.terms:
+        v = float(c), then v *= x_i ** e_i over the nonzero exponents in
+        symbol order, then total += v from 0.0.  The loop is compiled on first
+        use into one function, as dataclasses compiles its methods, that runs
+        v = v + c * x_i ** e_i * ... + ... at each point: the same operations
+        in the same order, bit for bit, in one interpreter pass per point.
+        A statement adds at most 100 terms, within the compiler's nesting limit.
+        """
+        fn = self._float_eval
+        if fn is None:
+            names = [f"x{i}" for i in range(self.nsym)]
+            terms = [
+                " * ".join([f"({float(c)!r})"]
+                           + [f"{names[i]} ** {x}" for i, x in enumerate(e) if x])
                 for e, c in self.terms.items()
             ]
-        total = 0.0
-        for v, exps in terms:
-            for i, x in exps:
-                v *= point[i] ** x
-            total += v
-        return total
+            lines = [
+                "def fn(points):",
+                "    out = []",
+                f"    for ({''.join(name + ', ' for name in names)}) in points:",
+                "        v = 0.0",
+                *(f"        v = v + {' + '.join(terms[k:k + 100])}"
+                  for k in range(0, len(terms), 100)),
+                "        out.append(v)",
+                "    return out",
+            ]
+            namespace: dict = {}
+            exec("\n".join(lines), namespace)
+            fn = self._float_eval = namespace["fn"]
+        return fn(points)
+
+    def evaluate_float(self, point: Sequence[float]) -> float:
+        """The float value at one point: a batch of one."""
+        return self.evaluate_floats([point])[0]
 
     def sorted_terms(self) -> list[Term]:
         return [(c, e) for e, c in sorted(self.terms.items())]

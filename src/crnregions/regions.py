@@ -28,7 +28,7 @@ import math
 import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .classify import (
     BoxDiagram,
@@ -51,6 +51,8 @@ from .massaction import (
 from .network import ReactionNetwork, conservation_matrix
 
 _SIGNS = {"<0": -1, "=0": 0, ">0": 1}
+# v < 0, v == 0 and v > 0 for a float v
+_FLOAT_TESTS = {"<0": (0.0).__gt__, "=0": (0.0).__eq__, ">0": (0.0).__lt__}
 
 
 @dataclass(frozen=True)
@@ -70,12 +72,11 @@ class SignCondition:
         return (v > 0) - (v < 0) == _SIGNS[self.rel]
 
     def holds_float(self, point: Sequence[float]) -> bool:
-        v = self.poly.evaluate_float(point)
-        if self.rel == "<0":
-            return v < 0
-        if self.rel == ">0":
-            return v > 0
-        return v == 0
+        return _FLOAT_TESTS[self.rel](self.poly.evaluate_float(point))
+
+    def holds_floats(self, points: Sequence[Sequence[float]]) -> Iterator[bool]:
+        """holds_float at each point of a batch (SymPoly.evaluate_floats)."""
+        return map(_FLOAT_TESTS[self.rel], self.poly.evaluate_floats(points))
 
 
 @dataclass(frozen=True)

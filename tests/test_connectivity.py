@@ -3,10 +3,11 @@ import math
 import random
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from crnregions.connectivity import (
+    DETOUR_SHIFTS,
     LINK_RADIUS,
     MERGE_RESTARTS,
     SEGMENT_CHECKS,
@@ -17,14 +18,19 @@ from crnregions.connectivity import (
     _component_reps,
     _conjunct_indices,
     _coords,
+    _holds_along,
     _sample_point,
+    _sample_points,
     _segment_inside,
+    _squared_distance,
     _UnionFind,
+    _within_radius,
     connect_witnesses,
     probe,
 )
 from crnregions.network import parse_network
 from crnregions.regions import (
+    _FLOAT_TESTS,
     Region,
     SignCondition,
     SymPoly,
@@ -67,6 +73,29 @@ def _reference_pathable(region, p, q, rng, config):
     return False
 
 
+def _scaled(point, i, k):
+    return point[:i] + (point[i] * 2.0**k,) + point[i + 1:]
+
+
+def _reference_detour(region, p, targets):
+    """A three-leg path p, p', q', q for a q in targets, p' and q' being p
+    and q with one rate scaled by 2^k, k in DETOUR_SHIFTS."""
+
+    def inside(u, v):
+        return _reference_segment_inside(region, u, v)
+
+    for i in range(len(region.ambient) - region.totals):
+        for k in DETOUR_SHIFTS:
+            p2 = _scaled(p, i, k)
+            if not inside(p, p2):
+                continue
+            for q in targets:
+                q2 = _scaled(q, i, k)
+                if inside(p2, q2) and inside(q2, q):
+                    return True
+    return False
+
+
 def _sampled_hits(region, config):
     rng = random.Random(config.seed)
     lo, hi = config.box
@@ -84,7 +113,9 @@ def _within(coords, i, j, radius):
 
 def _reference_probe(region, config):
     """The probe over all pairs of hits, with root lookups in the merge pass
-    and every conjunct evaluated at each checkpoint."""
+    and every conjunct evaluated at each checkpoint.  Pairs of components
+    that no direct or one-waypoint path joins then try detours to every hit
+    of b's component."""
     rng, hits = _sampled_hits(region, config)
     if not hits:
         return ProbeReport(config.n_samples, 0, 0, (), (), 0, config)
@@ -108,6 +139,14 @@ def _reference_probe(region, config):
             if uf.find(a) == uf.find(b) or not (conj_of[a] & conj_of[b]):
                 continue
             if _reference_pathable(region, hits[a], hits[b], rng, config):
+                uf.union(a, b)
+    for a in reps:
+        for b in reps:
+            if uf.find(a) == uf.find(b) or not (conj_of[a] & conj_of[b]):
+                continue
+            rb = uf.find(b)
+            targets = [hits[h] for h in range(len(hits)) if uf.find(h) == rb]
+            if _reference_detour(region, hits[a], targets):
                 uf.union(a, b)
     comp = {}
     for i in range(len(hits)):
@@ -185,6 +224,16 @@ class TestProbe:
         enabling, _ = regions_for_network(running_net)
         report = probe(enabling, ProbeConfig(box=(0.0625, 16.0)))
         assert report.component_count == 1
+
+    @pytest.mark.parametrize(
+        "seed, sizes", [(1519723034, (202, 188)), (1985537618, (211, 173))]
+    )
+    def test_prop51_lone_hit_joins_by_a_detour(self, prop51_net, seed, sizes):
+        # one hit at k3R - k3L of about 2e-6, which no straight segment and
+        # no sampled waypoint joins to its component: a detour does
+        _, allowing = regions_for_network(prop51_net)
+        report = probe(allowing, ProbeConfig(seed=seed))
+        assert report.component_sizes == sizes
 
     def test_deterministic_for_fixed_seed(self, prop51_net):
         _, allowing = regions_for_network(prop51_net)
@@ -366,3 +415,114 @@ class TestHalfSpaceShortcut:
         assert membership_float(region, p) and membership_float(region, q)
         assert not _new_segment_inside(region, p, q)
         assert not _reference_segment_inside(region, p, q, 32)
+
+
+def _old_holds_along(test, terms, cp, cq):
+    """The per-checkpoint segment test that _holds_along replaced."""
+    line = [
+        (s, lc + sum(x * u for x, u in zip(er, cp)),
+         sum(x * (v - u) for x, u, v in zip(er, cp, cq)),
+         [(cp[i], cq[i] - cp[i], x) for i, x in tots])
+        for s, lc, er, tots in terms
+    ]
+    for j in range(1, SEGMENT_CHECKS + 1):
+        t, v = j / (SEGMENT_CHECKS + 1), 0.0
+        for s, a, b, tots in line:
+            w = s * math.exp(a + t * b)
+            for c0, dc, x in tots:
+                w *= (c0 + t * dc) ** x
+            v += w
+        if not test(v):
+            return False
+    return True
+
+
+@st.composite
+def _checkpointed_conditions(draw):
+    """A condition over 1-4 rates and 0-2 totals, as _checkpoint_tables
+    writes it, and two endpoints in sampling coordinates.  Terms differ in
+    size by up to 2^80, and some come with their exact negation, so that the
+    sums at the checkpoints depend on the order of the additions."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(0, 2))
+    rate_exps = st.tuples(*[st.integers(0, 3)] * n)
+    total_exps = st.tuples(*[st.integers(0, 2)] * m)
+    terms = []
+    for _ in range(draw(st.integers(1, 4))):
+        s = draw(st.sampled_from([-1.0, 1.0]))
+        lc = math.log(draw(st.integers(1, 9))) + draw(st.sampled_from([0, 80])) * math.log(2)
+        er = draw(rate_exps)
+        tots = [(n + i, x) for i, x in enumerate(draw(total_exps)) if x]
+        terms.append((s, lc, er, tots))
+        if draw(st.booleans()):
+            terms.append((-s, lc, er, tots))
+    terms = draw(st.permutations(terms))
+    test = _FLOAT_TESTS[draw(st.sampled_from(["<0", "=0", ">0"]))]
+    coord = st.floats(-3.0, 3.0)
+    cp, cq = (draw(st.tuples(*[coord] * (n + m))) for _ in range(2))
+    return test, terms, cp, cq
+
+
+class TestBatchedKernels:
+    """The batched float kernels give what one checkpoint, one draw or one
+    pair at a time gives."""
+
+    # 2^80 - 2^80 + 1 > 0, while 1 - 2^80 + 2^80 is 0
+    @example(case=(_FLOAT_TESTS[">0"], [
+        (1.0, 80 * math.log(2), (1,), []),
+        (-1.0, 80 * math.log(2), (1,), []),
+        (1.0, 0.0, (0,), []),
+    ], (0.0,), (1.0,)))
+    @given(case=_checkpointed_conditions())
+    def test_holds_along_matches_the_per_checkpoint_loop(self, case):
+        assert _holds_along(*case) == _old_holds_along(*case)
+
+    def test_holds_along_on_the_bundled_conditions(self):
+        rng = random.Random(7)
+        for region in TestReferenceEquivalence.REGIONS.values():
+            d = len(region.ambient)
+            for conds in _checkpoint_tables(region):
+                for test, terms in conds:
+                    for _ in range(50):
+                        cp = tuple(rng.uniform(-3, 3) for _ in range(d))
+                        cq = tuple(rng.uniform(-3, 3) for _ in range(d))
+                        assert _holds_along(test, terms, cp, cq) == _old_holds_along(
+                            test, terms, cp, cq
+                        )
+
+    def test_sample_points_draw_as_rng_uniform_does(self):
+        enabling = TestReferenceEquivalence.REGIONS["running_enabling"]
+        rng, ref = random.Random(5), random.Random(5)
+        lo, hi = 0.0625, 16.0
+        for m in (1, 7, 512):
+            want = [
+                (math.exp(ref.uniform(math.log(lo), math.log(hi))),
+                 math.exp(ref.uniform(math.log(lo), math.log(hi))),
+                 ref.uniform(-hi, hi))
+                for _ in range(m)
+            ]
+            assert _sample_points(rng, enabling, lo, hi, m) == want
+        assert rng.random() == ref.random()
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5])
+    def test_within_radius_at_the_radius(self, dim):
+        """Pairs at d2 = r2 exactly and one ulp either side get the exact
+        sum-of-squares answer."""
+        r2 = LINK_RADIUS**2
+        rng = random.Random(dim)
+        found = set()
+        for _ in range(20):
+            ci = tuple(rng.uniform(-3, 3) for _ in range(dim))
+            u = [rng.gauss(0, 1) for _ in range(dim)]
+            scale = LINK_RADIUS / math.sqrt(sum(x * x for x in u))
+            cj = [a + scale * x for a, x in zip(ci, u)]
+            # walk the last coordinate by ulps across the radius
+            for _ in range(40):
+                cj[-1] = math.nextafter(cj[-1], -math.inf)
+            for _ in range(80):
+                cj[-1] = math.nextafter(cj[-1], math.inf)
+                d2 = _squared_distance(ci, cj)
+                found.add(d2)
+                assert _within_radius(ci, [0], [tuple(cj)]) == ([0] if d2 <= r2 else [])
+        # in one dimension d2 is a square, and no square is one ulp away from 1
+        ulps = (math.nextafter(r2, 0.0), math.nextafter(r2, math.inf)) if dim > 1 else ()
+        assert {r2, *ulps} <= found

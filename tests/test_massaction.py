@@ -148,7 +148,7 @@ class TestOracle2D:
         assert res.continuum and res.count == 2
         assert all(x1 > 0 and x2 > 0 and x1 + x2 == 3 for x1, x2 in res.witnesses)
 
-    def test_multiple_root_off_the_class_is_no_boundary(self):
+    def test_double_root_off_the_class_leaves_one_simple_state(self):
         # on the class x1 - x2 = 1 the ODE is 4 - 27 x1 x2^2, with a double
         # root at x2 = -2/3: the one steady state, (4/3, 1/3), is simple
         net = parse_network("0 -> A + B; k1\nA + 2B -> B; k2")

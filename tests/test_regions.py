@@ -66,6 +66,18 @@ def _closed_form(y, yp, yt, ytp):
     return p == q == 0, False
 
 
+def _term_loop(poly, point):
+    """SymPoly's float value at one point, term by term in dict order."""
+    total = 0.0
+    for e, c in poly.terms.items():
+        v = float(c)
+        for base, exp in zip(point, e):
+            if exp:
+                v *= base**exp
+        total += v
+    return total
+
+
 def single_condition(region):
     assert len(region.conjuncts) == 1
     (conj,) = region.conjuncts
@@ -119,16 +131,6 @@ class TestSymPoly:
 
     def test_evaluate_float_matches_term_loop(self):
         # the compiled terms multiply and add in the order of this loop
-        def term_loop(poly, point):
-            total = 0.0
-            for e, c in poly.terms.items():
-                v = float(c)
-                for base, exp in zip(point, e):
-                    if exp:
-                        v *= base**exp
-                total += v
-            return total
-
         rng = random.Random(5)
         for _ in range(200):
             nsym = rng.randint(1, 4)
@@ -142,7 +144,33 @@ class TestSymPoly:
             for _ in range(5):
                 point = tuple(rng.uniform(-50.0, 50.0) for _ in range(nsym))
                 got = poly.evaluate_float(point).hex()
-                assert got == term_loop(poly, point).hex(), (poly, point)
+                assert got == _term_loop(poly, point).hex(), (poly, point)
+
+    def test_evaluate_floats_of_many_terms(self):
+        # 3000 terms take several statements of the compiled evaluator
+        poly = SymPoly(2, {(i, j): (-1) ** i * (i + j + 1) for i in range(60) for j in range(50)})
+        rng = random.Random(3)
+        points = [(rng.uniform(-1.1, 1.1), rng.uniform(-1.1, 1.1)) for _ in range(20)]
+        assert [v.hex() for v in poly.evaluate_floats(points)] == [
+            _term_loop(poly, pt).hex() for pt in points
+        ]
+
+    @given(data=st.data())
+    def test_batched_floats_match_the_term_loop_bit_for_bit(self, data):
+        # any batch, negative coordinates (signed totals) included, gives at
+        # each point what the term loop gives at that point alone
+        nsym = data.draw(st.integers(1, 5))
+        exps = st.tuples(*[st.integers(0, 3)] * nsym)
+        coeffs = st.integers(-9, 9).filter(bool)
+        poly = SymPoly(nsym, data.draw(st.dictionaries(exps, coeffs, min_size=1, max_size=7)))
+        coord = st.floats(-50.0, 50.0)
+        points = data.draw(st.lists(st.tuples(*[coord] * nsym), max_size=12))
+        want = [_term_loop(poly, pt).hex() for pt in points]
+        assert [v.hex() for v in poly.evaluate_floats(points)] == want
+        assert [poly.evaluate_float(pt).hex() for pt in points] == want
+        for rel in ("<0", "=0", ">0"):
+            cond = SignCondition(poly, rel)
+            assert list(cond.holds_floats(points)) == [cond.holds_float(pt) for pt in points]
 
     def test_condition_rejects_zero_poly(self):
         with pytest.raises(ValueError):

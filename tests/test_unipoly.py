@@ -156,7 +156,7 @@ def _fraction_bisection(p, a, b, rel_width=Fraction(1, 10**12)):
 
 
 class TestIntegerCore:
-    def test_multiple_positive_root_flag(self):
+    def test_multiple_roots_count_once(self):
         # distinct roots: a multiple root counts once, and a plain int
         for p, want in [
             (poly(-1, 1) ** 2 * poly(-3, 1), 2),

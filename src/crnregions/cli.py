@@ -295,7 +295,8 @@ def cmd_witness(file, fmt, kappa, c_value) -> None:
     else:
         stored = next((w for w in enabling.witnesses if w is not None), None)
         if stored is None:
-            _fail("no stored witness and no --kappa given", EXIT_UNSUPPORTED)
+            why = "the enabling region is empty" if not enabling.conjuncts else "no stored witness"
+            _fail(f"{why}, so --kappa is needed", EXIT_PARSE)
         kap = stored[: net.num_reactions]
         cs = stored[net.num_reactions:]
     if len(kap) != net.num_reactions or len(cs) != n_c:

@@ -3,7 +3,7 @@
 The probe draws parameter points in a box, keeps the ones inside the
 region, links nearby hits whose connecting segment stays inside, and
 reports the components of the resulting graph.  Sparse components are
-then merged when a direct or one-waypoint path between representatives
+then merged when a straight segment or a three-leg detour between them
 passes the same segment test, so the count reflects geometry rather than
 sampling density.  It is numerical evidence, not a proof.
 
@@ -15,11 +15,13 @@ nowhere, and gets no checkpoints; the others cost one exp per term at each.
 Candidate links come from a cell list (Bentley, Stanat and Williams 1977,
 fixed-radius near neighbours) on the first three sampling coordinates, so
 the report, edge count included, is the one the test over all pairs gives.
-The merge pass tries pairs of representatives in a fixed order, as the path
-search draws from the seeded generator, and stops once no two components
-share a conjunct.  The pairs that no direct or one-waypoint path joins then
-try three-leg detours, in a second round that draws nothing, so a seed
-whose first round joins every pair it can keeps its report.
+The merge pass tries pairs of representatives in a fixed order and stops
+once no two components share a conjunct.  Its first round tests only the
+straight segment between two representatives; the pairs that round leaves
+apart then try three-leg detours to the hits of the other component.  The
+detours come second because the cheap straight joins have by then merged
+most components.  Only the sampling draws from the seeded generator: the
+link and merge passes depend on the hits alone.
 
 The float work runs in batches.  Draws are sampled and tested CHUNK at a
 time, one condition at a time over the draws that passed the ones before,
@@ -53,7 +55,6 @@ from .regions import _FLOAT_TESTS, Region
 
 LINK_RADIUS = 1.0  # hits this close in sampling coordinates are link candidates
 SEGMENT_CHECKS = 32  # interior checkpoints of each segment test
-MERGE_RESTARTS = 64  # one-waypoint tries per pair of representatives
 CHUNK = 256  # draws sampled and tested per batch
 DETOUR_SHIFTS = (1, -1, 2, -2, 3, -3)  # k of the 2^k rate scalings a detour tries
 
@@ -146,10 +147,6 @@ def _sample_points(
         for rate, r in zip(rates, [rng.random() for _ in range(m * d)])
     ]
     return list(zip(*[iter(values)] * d))  # d consecutive values per draw
-
-
-def _sample_point(rng: random.Random, region: Region, lo: float, hi: float):
-    return _sample_points(rng, region, lo, hi, 1)[0]
 
 
 def _coords(region: Region, point: Sequence[float]) -> tuple[float, ...]:
@@ -327,20 +324,16 @@ def probe(region: Region, config: ProbeConfig = ProbeConfig()) -> ProbeReport:
                 ri = rj
                 edges += 1
     # merge pass: sparse sampling can shatter a connected region into many
-    # graph components; join representatives reachable by a checked path.
-    # Pairs are tried in a fixed order, near or not, so that the rng draws
-    # stay the same; pairs in disjoint conjuncts are skipped.  The pairs that
-    # no direct or one-waypoint path joins then try detours to the hits of
-    # b's component, in a second round that draws nothing.  held maps a
-    # root to its representatives' conjuncts, and shared counts the components
-    # of each conjunct beyond its first: at 0 no pair is left to try.
+    # graph components; join representatives reachable by a checked path:
+    # the straight segment in a first round, detours to the hits of b's
+    # component in a second.  Pairs in disjoint conjuncts are skipped.  held
+    # maps a root to its representatives' conjuncts, and shared counts the
+    # components of each conjunct beyond its first: at 0 no pair is left.
     reps = _component_reps(uf, len(hits))
     held = {uf.find(a): conj[a] for a in reps}
     shared = sum(map(len, held.values())) - len(set().union(*held.values()))
     searches = (
-        lambda a, b: _find_path(
-            region, tables, hits[a], hits[b], conj[a], conj[b], rng, config.box
-        ),
+        lambda a, b: _segment_inside(tables, coords[a], coords[b], conj[a] & conj[b]),
         lambda a, b: _detour(region, tables, hits[a], conj[a], [
             (hits[h], conj[h]) for h in range(len(hits)) if uf.find(h) == uf.find(b)
         ]),
@@ -350,7 +343,7 @@ def probe(region: Region, config: ProbeConfig = ProbeConfig()) -> ProbeReport:
             if not shared:
                 break
             ra, rb = uf.find(a), uf.find(b)
-            if ra == rb or not (conj[a] & conj[b]) or search(a, b) is None:
+            if ra == rb or not (conj[a] & conj[b]) or not search(a, b):
                 continue
             uf.union(a, b)
             shared -= len(held[ra] & held[rb])
@@ -375,30 +368,6 @@ def _component_reps(uf: _UnionFind, n: int) -> list[int]:
     for i in range(n):
         seen.setdefault(uf.find(i), i)
     return list(seen.values())
-
-
-def _find_path(
-    region: Region, tables: list, p, q, sp: frozenset[int], sq: frozenset[int], rng: random.Random,
-    box: tuple[float, float],
-) -> list[tuple[float, ...]] | None:
-    """The direct segment, else the first of up to MERGE_RESTARTS one-waypoint
-    paths through sampled points in the box; None when none stays inside.
-    sp and sq are the conjuncts that hold at p and at q."""
-    cp, cq = _coords(region, p), _coords(region, q)
-    if _segment_inside(tables, cp, cq, sp & sq):
-        return [p, q]
-    lo, hi = box
-    for _ in range(MERGE_RESTARTS):
-        w = _sample_point(rng, region, lo, hi)
-        sw = _conjunct_indices(region, w)
-        if not sw:
-            continue
-        cw = _coords(region, w)
-        if _segment_inside(tables, cp, cw, sp & sw) and _segment_inside(
-            tables, cw, cq, sw & sq
-        ):
-            return [p, w, q]
-    return None
 
 
 def _detour(
@@ -435,13 +404,13 @@ def _detour(
 def connect_witnesses(
     region: Region, p: Sequence[float], q: Sequence[float]
 ) -> list[tuple[float, ...]] | None:
-    """Search for a piecewise segment path inside the region from p to q,
-    with the probe's default seed and box: the direct segment, one-waypoint
-    paths, then three-leg detours (_find_path, _detour).
+    """A piecewise segment path inside the region from p to q: [p, q] when
+    the straight segment stays inside, else the first three-leg detour
+    (_detour), else None.
 
-    Returns the waypoint list (including endpoints) or None when no path
-    is found within the restart budget; None is not a disconnectedness
-    proof.
+    The path is the waypoint list, endpoints included, and depends only on
+    region, p and q: nothing is drawn at random.  None is not a
+    disconnectedness proof.
     """
     p = tuple(float(v) for v in p)
     q = tuple(float(v) for v in q)
@@ -450,8 +419,7 @@ def connect_witnesses(
         raise ValueError("endpoints must lie inside the region")
     if p == q:
         return [p]
-    rng = random.Random(ProbeConfig.seed)
     tables = _checkpoint_tables(region)
-    return _find_path(region, tables, p, q, sp, sq, rng, ProbeConfig.box) or _detour(
-        region, tables, p, sp, [(q, sq)]
-    )
+    if _segment_inside(tables, _coords(region, p), _coords(region, q), sp & sq):
+        return [p, q]
+    return _detour(region, tables, p, sp, [(q, sq)])

@@ -130,7 +130,9 @@ def membership(region: Region, point: Sequence) -> bool:
 
 
 def membership_float(region: Region, point: Sequence[float]) -> bool:
-    """Fast floating-point membership; used by the sampling probe."""
+    """Fast floating-point membership.  The probe filters its draws through
+    SignCondition.holds_floats instead; the benchmark's probe check and the
+    tests call this."""
     return any(
         all(cond.holds_float(point) for cond in conj) for conj in region.conjuncts
     )
@@ -562,19 +564,34 @@ def _disjoint_sign_conjuncts(region: Region) -> bool:
 # Self-check against the root-counting oracle
 
 
+def _sweep_points(enabling: Region, seed: int, samples: int) -> Iterator[tuple[float, ...]]:
+    """The self-check's samples seeded points: each coordinate has a
+    log-uniform magnitude in [2^-6, 2^6], and totals take either sign."""
+    rng = random.Random(seed)
+    n = len(enabling.ambient) - enabling.totals
+    span = 6 * math.log(2)
+    for _ in range(samples):
+        pt = []
+        for i in range(len(enabling.ambient)):
+            mag = math.exp(rng.uniform(-span, span))
+            if i >= n and rng.random() < 0.5:
+                mag = -mag
+            pt.append(mag)
+        yield tuple(pt)
+
+
 def oracle_sweep(
     net: ReactionNetwork, enabling: Region, seed: int, samples: int
 ) -> list[tuple[Fraction, ...]]:
     """Sampled points where enabling-region membership disagrees with the oracle.
 
-    Draws samples points.  Each coordinate has a log-uniform magnitude in
-    [2^-6, 2^6], taken as the exact rational value of the float drawn, and
-    totals take either sign.  The floats go to membership and the oracle as
-    they are, since both read a float as its exact binary rational; only the
-    points reported are converted to Fractions.  A point disagrees when
-    membership says it is inside the region and the oracle counts fewer than
-    two positive steady states there, or the reverse.  Both sides are exact,
-    so every disagreement is a fault.
+    Draws the samples points of _sweep_points, each coordinate taken as the
+    exact rational value of the float drawn.  The floats go to membership and
+    the oracle as they are, since both read a float as its exact binary
+    rational; only the points reported are converted to Fractions.  A point
+    disagrees when membership says it is inside the region and the oracle
+    counts fewer than two positive steady states there, or the reverse.  Both
+    sides are exact, so every disagreement is a fault.
 
     The oracle counts 2 where the steady states form a continuum, as for
     prop51 at rates (1, ..., 1), which lies in neither of its conjuncts
@@ -583,17 +600,9 @@ def oracle_sweep(
     not skip it.
     """
     sys_ = steady_state_system(net)
-    rng = random.Random(seed)
     n = len(enabling.ambient) - enabling.totals
-    span = 6 * math.log(2)
     bad = []
-    for _ in range(samples):
-        pt = []
-        for i in range(len(enabling.ambient)):
-            mag = math.exp(rng.uniform(-span, span))
-            if i >= n and rng.random() < 0.5:
-                mag = -mag
-            pt.append(mag)
+    for pt in _sweep_points(enabling, seed, samples):
         result = count_positive_steady_states(sys_, pt[:n], pt[n:])
         if membership(enabling, pt) != (result.count >= 2):
             bad.append(tuple(map(Fraction, pt)))

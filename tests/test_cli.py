@@ -412,6 +412,13 @@ class TestWitnessCommand:
         result = runner.invoke(main, ["witness", str(RUNNING), "--c", "99"])
         assert result.exit_code == 2 and "--c needs --kappa" in result.output
 
+    def test_empty_region_without_kappa_exit_2(self, runner):
+        # deg_case2 is covered (analyze exits 0), but its enabling region is
+        # empty, so there is no stored witness to fall back on
+        result = runner.invoke(main, ["witness", str(NETS / "deg_case2.crn")])
+        assert result.exit_code == 2
+        assert "region is empty" in result.output and "--kappa" in result.output
+
     def test_dimension_mismatch_exit_2(self, runner):
         result = runner.invoke(main, ["witness", str(RUNNING), "--kappa", "1,1,1"])
         assert result.exit_code == 2

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from crnregions.connectivity import (
     DETOUR_SHIFTS,
     LINK_RADIUS,
-    MERGE_RESTARTS,
     SEGMENT_CHECKS,
     ProbeConfig,
     ProbeReport,
@@ -19,7 +18,6 @@ from crnregions.connectivity import (
     _conjunct_indices,
     _coords,
     _holds_along,
-    _sample_point,
     _sample_points,
     _segment_inside,
     _squared_distance,
@@ -59,20 +57,6 @@ def _reference_segment_inside(region, p, q, checks=SEGMENT_CHECKS):
     return bool(live)
 
 
-def _reference_pathable(region, p, q, rng, config):
-    def inside(u, v):
-        return _reference_segment_inside(region, u, v)
-
-    if inside(p, q):
-        return True
-    lo, hi = config.box
-    for _ in range(MERGE_RESTARTS):
-        w = _sample_point(rng, region, lo, hi)
-        if membership_float(region, w) and inside(p, w) and inside(w, q):
-            return True
-    return False
-
-
 def _scaled(point, i, k):
     return point[:i] + (point[i] * 2.0**k,) + point[i + 1:]
 
@@ -101,10 +85,10 @@ def _sampled_hits(region, config):
     lo, hi = config.box
     hits = []
     for _ in range(config.n_samples):
-        pt = _sample_point(rng, region, lo, hi)
+        pt = _sample_points(rng, region, lo, hi, 1)[0]
         if membership_float(region, pt):
             hits.append(pt)
-    return rng, hits
+    return hits
 
 
 def _within(coords, i, j, radius):
@@ -114,9 +98,9 @@ def _within(coords, i, j, radius):
 def _reference_probe(region, config):
     """The probe over all pairs of hits, with root lookups in the merge pass
     and every conjunct evaluated at each checkpoint.  Pairs of components
-    that no direct or one-waypoint path joins then try detours to every hit
-    of b's component."""
-    rng, hits = _sampled_hits(region, config)
+    that no straight segment joins then try detours to every hit of b's
+    component."""
+    hits = _sampled_hits(region, config)
     if not hits:
         return ProbeReport(config.n_samples, 0, 0, (), (), 0, config)
     uf = _UnionFind(len(hits))
@@ -138,7 +122,7 @@ def _reference_probe(region, config):
         for b in reps:
             if uf.find(a) == uf.find(b) or not (conj_of[a] & conj_of[b]):
                 continue
-            if _reference_pathable(region, hits[a], hits[b], rng, config):
+            if _reference_segment_inside(region, hits[a], hits[b]):
                 uf.union(a, b)
     for a in reps:
         for b in reps:
@@ -229,8 +213,8 @@ class TestProbe:
         "seed, sizes", [(1519723034, (202, 188)), (1985537618, (211, 173))]
     )
     def test_prop51_lone_hit_joins_by_a_detour(self, prop51_net, seed, sizes):
-        # one hit at k3R - k3L of about 2e-6, which no straight segment and
-        # no sampled waypoint joins to its component: a detour does
+        # one hit at k3R - k3L of about 2e-6, which no straight segment
+        # joins to its component: a detour does
         _, allowing = regions_for_network(prop51_net)
         report = probe(allowing, ProbeConfig(seed=seed))
         assert report.component_sizes == sizes
@@ -255,7 +239,7 @@ class TestProbe:
         net = parse_network("2A + B -> 3A; cA\nA -> B; cB")
         enabling, _ = regions_for_network(net)
         rng = random.Random(1)
-        points = [_sample_point(rng, enabling, 0.0625, 16.0) for _ in range(200)]
+        points = [_sample_points(rng, enabling, 0.0625, 16.0, 1)[0] for _ in range(200)]
         assert all(p[0] > 0 and p[1] > 0 for p in points)
         assert min(p[2] for p in points) < 0 < max(p[2] for p in points)
         report = probe(enabling, ProbeConfig(n_samples=500, box=(0.0625, 16.0)))
@@ -302,7 +286,7 @@ class TestReferenceEquivalence:
         region = self.REGIONS[name]
         for seed in (3, 11):
             cfg = ProbeConfig(seed=seed, n_samples=300, box=(0.0625, 16.0))
-            _, hits = _sampled_hits(region, cfg)
+            hits = _sampled_hits(region, cfg)
             coords = [_coords(region, h) for h in hits]
             for i, near in enumerate(_cell_neighbours(coords, radius) if coords else ()):
                 within = {j for j in range(len(coords)) if _within(coords, i, j, radius)}
@@ -334,6 +318,8 @@ class TestConnectWitnesses:
         path = connect_witnesses(allowing, p, q)
         assert path is not None
         assert path[0] == p and path[-1] == q
+        assert len(path) in (2, 4)
+        assert connect_witnesses(allowing, p, q) == path
 
     def test_no_path_across_prop51_split(self, prop51_net):
         _, allowing = regions_for_network(prop51_net)

@@ -8,9 +8,9 @@ covered families.  Any change to a region builder, a verdict or a witness
 search that reaches one of these nets changes its slice's digest.
 
 The oracle case hashes (count, continuum, listed steady states) at 200
-seeded draws of the self-check's sampler on each bundled net, and at each
-net's stored witnesses, so any change to the oracle's counts or to the states
-it lists changes that digest.
+seeded draws of the self-check's sampler, regions._sweep_points, on each
+bundled net, and at each net's stored witnesses, so any change to the
+oracle's counts or to the states it lists changes that digest.
 
 The probe case hashes ProbeReport.to_json() for the bench's four probe
 configurations at seeds 1-5, and for ProbeConfig() on every bundled allowing
@@ -28,7 +28,6 @@ and give the reason in CHANGES.md, as for the per-net golden JSON.
 import hashlib
 import itertools
 import json
-import math
 import random
 from pathlib import Path
 
@@ -38,7 +37,12 @@ from crnregions.classify import UnsupportedFamilyError
 from crnregions.connectivity import ProbeConfig, probe
 from crnregions.massaction import count_positive_steady_states, steady_state_system
 from crnregions.network import Complex, Reaction, ReactionNetwork, parse_network
-from crnregions.regions import connectivity_verdict, region_to_json, regions_for_network
+from crnregions.regions import (
+    _sweep_points,
+    connectivity_verdict,
+    region_to_json,
+    regions_for_network,
+)
 
 DIGESTS = Path(__file__).parent / "golden" / "corpus_fingerprint.json"
 NETS = Path(__file__).parent / "nets"
@@ -115,22 +119,6 @@ def fingerprint(nets) -> dict:
     return {"nets": total, "refused": refused, "sha256": h.hexdigest()}
 
 
-def _draws(enabling, seed: int, samples: int):
-    """The self-check's points as regions.oracle_sweep draws them: log-uniform
-    magnitudes in [2^-6, 2^6] as floats, totals of either sign."""
-    rng = random.Random(seed)
-    n = len(enabling.ambient) - enabling.totals
-    span = 6 * math.log(2)
-    for _ in range(samples):
-        pt = []
-        for i in range(len(enabling.ambient)):
-            mag = math.exp(rng.uniform(-span, span))
-            if i >= n and rng.random() < 0.5:
-                mag = -mag
-            pt.append(mag)
-        yield tuple(pt)
-
-
 def oracle_fingerprint(seed: int = 2023, samples: int = 200) -> dict:
     h = hashlib.sha256()
     points = 0
@@ -140,7 +128,7 @@ def oracle_fingerprint(seed: int = 2023, samples: int = 200) -> dict:
         sys_ = steady_state_system(net)
         n = len(enabling.ambient) - enabling.totals
         stored = [w for w in enabling.witnesses if w is not None]
-        for pt in [*_draws(enabling, seed, samples), *stored]:
+        for pt in [*_sweep_points(enabling, seed, samples), *stored]:
             points += 1
             res = count_positive_steady_states(sys_, pt[:n], pt[n:])
             states = [[str(v) for v in w] for w in res.witnesses]

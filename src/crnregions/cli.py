@@ -364,8 +364,11 @@ def cmd_probe(file, fmt, kind, seed, samples, box, csv_path) -> None:
         "probe": report.to_json(),
     }
     if csv_path and report.accepted_samples:
-        with open(csv_path, "w", newline="") as fh:
-            report.write_csv(fh)
+        try:
+            with open(csv_path, "w", newline="") as fh:
+                report.write_csv(fh)
+        except OSError as exc:
+            _fail(f"error: cannot write {csv_path}: {exc}", EXIT_PARSE)
     _emit(payload, fmt, _probe_text)
 
 

@@ -15,6 +15,10 @@ nowhere, and gets no checkpoints; the others cost one exp per term at each.
 Candidate links come from a cell list (Bentley, Stanat and Williams 1977,
 fixed-radius near neighbours) on the first three sampling coordinates, so
 the report, edge count included, is the one the test over all pairs gives.
+Each cell has one integer key and keeps its hits' coordinates beside its
+sorted neighbour list, so a hit measures its later neighbours on a slice.
+Each hit carries its component's label and each label lists its hits; a
+join relabels the smaller component, so a linked pair costs one list read.
 The merge pass tries pairs of representatives in a fixed order and stops
 once no two components share a conjunct.  Its first round tests only the
 straight segment between two representatives; the pairs that round leaves
@@ -113,22 +117,6 @@ class ProbeReport:
             writer.writerow([idx, size] + [f"{v:.6g}" for v in rep])
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, i: int) -> int:
-        while self.parent[i] != i:
-            self.parent[i] = self.parent[self.parent[i]]
-            i = self.parent[i]
-        return i
-
-    def union(self, i: int, j: int) -> None:
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            self.parent[ri] = rj
-
-
 def _sample_points(
     rng: random.Random, region: Region, lo: float, hi: float, m: int
 ) -> list[tuple[float, ...]]:
@@ -138,15 +126,14 @@ def _sample_points(
     The rng is called draw by draw and coordinate by coordinate, and
     rng.uniform(a, b) is a + (b - a) * rng.random(), so each draw is the one
     that rng.uniform, called coordinate by coordinate, gives, bit for bit.
+    The draws are then converted one coordinate column at a time.
     """
     exp, llo, lhi = math.exp, math.log(lo), math.log(hi)
-    d = len(region.ambient)
-    rates = itertools.cycle([True] * (d - region.totals) + [False] * region.totals)
-    values = [
-        exp(llo + (lhi - llo) * r) if rate else -hi + (hi - -hi) * r
-        for rate, r in zip(rates, [rng.random() for _ in range(m * d)])
-    ]
-    return list(zip(*[iter(values)] * d))  # d consecutive values per draw
+    d, n = len(region.ambient), len(region.ambient) - region.totals
+    rs = [rng.random() for _ in range(m * d)]
+    cols = [[exp(llo + (lhi - llo) * r) for r in rs[c::d]] for c in range(n)]
+    cols += [[-hi + (hi - -hi) * r for r in rs[c::d]] for c in range(n, d)]
+    return list(zip(*cols))
 
 
 def _coords(region: Region, point: Sequence[float]) -> tuple[float, ...]:
@@ -237,30 +224,35 @@ def _segment_inside(tables: list, cp, cq, live: frozenset[int]) -> bool:
     return any(all(_holds_along(*c, cp, cq) for c in tables[i]) for i in live)
 
 
-def _cell_neighbours(coords: list[tuple[float, ...]], radius: float) -> list[list[int]]:
-    """For each point, the sorted indices of the points in its 3^k nearby cells.
+def _cell_neighbours(coords: list[tuple[float, ...]], radius: float) -> list[tuple[list, list]]:
+    """For each point, the sorted indices of the points in its 3^k nearby
+    cells, and those points' coordinates in the same order.
 
     Cells are hashed on the first k = min(3, d) coordinates.  Their side is
     the radius widened by 1e-9 and by 1e-15 of the largest |x| / radius,
     which exceeds the rounding of the distance test and of x / side: two
     points that pass the test are never two cells apart on an axis, so the
-    lists hold every pair within the radius.
+    lists hold every pair within the radius.  A cell's key mixes its
+    floor(x / side) + 1 - min per axis in a radix two wider than their range,
+    so a neighbour's -1 or +1 never carries into the next axis.
     """
     k = min(3, len(coords[0]))
     reach = max((abs(x) for c in coords for x in c[:k]), default=0.0) / radius
     side = radius * (1 + 1e-9 + 1e-15 * reach)
-    keys = [tuple(math.floor(x / side) for x in c[:k]) for c in coords]
-    cells: dict[tuple[int, ...], list[int]] = {}
+    keys, offsets, stride = [0] * len(coords), [0], 1
+    for axis in range(k):
+        col = [math.floor(c[axis] / side) for c in coords]
+        low = min(col) - 1
+        keys = [key + (f - low) * stride for key, f in zip(keys, col)]
+        offsets = [o + s * stride for o in offsets for s in (-1, 0, 1)]
+        stride *= max(col) - low + 2
+    cells: dict[int, list[int]] = {}
     for idx, key in enumerate(keys):
         cells.setdefault(key, []).append(idx)
-    offsets = list(itertools.product((-1, 0, 1), repeat=k))
-    near: dict[tuple[int, ...], list[int]] = {}
+    near = {}
     for key in cells:
-        near[key] = sorted(
-            j
-            for off in offsets
-            for j in cells.get(tuple(a + b for a, b in zip(key, off)), ())
-        )
+        js = sorted(j for off in offsets for j in cells.get(key + off, ()))
+        near[key] = (js, list(map(coords.__getitem__, js)))
     return [near[key] for key in keys]
 
 
@@ -270,11 +262,9 @@ def _squared_distance(ci: tuple[float, ...], cj: tuple[float, ...]) -> float:
     return sum([(a - b) ** 2 for a, b in zip(ci, cj)])
 
 
-def _within_radius(
-    ci: tuple[float, ...], later: list[int], coords: list[tuple[float, ...]]
-) -> list[int]:
-    """The j in later, in order, with _squared_distance(ci, coords[j]) <=
-    LINK_RADIUS ** 2.
+def _within_radius(ci: tuple[float, ...], later: list[int], points: list) -> list[int]:
+    """The j in later, in order, whose point (points[t] for later[t]) has
+    _squared_distance from ci at most LINK_RADIUS ** 2.
 
     math.dist measures every pair at C speed.  It and the sum of squares each
     err by a few units in the last place, far below the 1e-9 margins: a pair
@@ -282,13 +272,25 @@ def _within_radius(
     the pairs in between are measured again, and the result is the exact
     test's on all of later.
     """
-    ds = list(map(math.dist, itertools.repeat(ci), map(coords.__getitem__, later)))
+    ds = list(map(math.dist, itertools.repeat(ci), points))
     r2 = LINK_RADIUS**2
     return [
         j
-        for j, d in itertools.compress(zip(later, ds), map(_FAR.__ge__, ds))
-        if d <= _NEAR or _squared_distance(ci, coords[j]) <= r2
+        for j, cj, d in itertools.compress(zip(later, points, ds), map(_FAR.__ge__, ds))
+        if d <= _NEAR or _squared_distance(ci, cj) <= r2
     ]
+
+
+def _join(label: list[int], members: list[list[int]], a: int, b: int) -> int:
+    """Join the components labelled a and b; the smaller takes the larger's
+    label, which is returned."""
+    if len(members[a]) < len(members[b]):
+        a, b = b, a
+    for h in members[b]:
+        label[h] = a
+    members[a] += members[b]
+    members[b] = []
+    return a
 
 
 def probe(region: Region, config: ProbeConfig = ProbeConfig()) -> ProbeReport:
@@ -306,51 +308,51 @@ def probe(region: Region, config: ProbeConfig = ProbeConfig()) -> ProbeReport:
                 conj.append(held)
     if not hits:
         return ProbeReport(config.n_samples, 0, 0, (), (), 0, config)
-    uf = _UnionFind(len(hits))
     tables = _checkpoint_tables(region)
     coords = [_coords(region, h) for h in hits]
+    # label[i] names i's component and members[l] lists the hits labelled l
+    label = list(range(len(hits)))
+    members = [[i] for i in label]
     edges = 0
     # pairs in (i, j) order, as over all pairs: edge_count depends on it.
-    # ri is i's root, kept current across the unions i takes part in.
-    for i, near in enumerate(_cell_neighbours(coords, LINK_RADIUS)):
-        ri = uf.find(i)
-        for j in _within_radius(coords[i], near[bisect.bisect_right(near, i):], coords):
-            rj = uf.find(j)
-            if ri == rj:
+    # li is i's label, kept current across the joins i takes part in.
+    for i, (near, points) in enumerate(_cell_neighbours(coords, LINK_RADIUS)):
+        li, cut = label[i], bisect.bisect_right(near, i)
+        for j in _within_radius(coords[i], near[cut:], points[cut:]):
+            if label[j] == li:
                 edges += 1
-                continue
-            if _segment_inside(tables, coords[i], coords[j], conj[i] & conj[j]):
-                uf.union(i, j)
-                ri = rj
+            elif _segment_inside(tables, coords[i], coords[j], conj[i] & conj[j]):
+                li = _join(label, members, li, label[j])
                 edges += 1
     # merge pass: sparse sampling can shatter a connected region into many
-    # graph components; join representatives reachable by a checked path:
-    # the straight segment in a first round, detours to the hits of b's
-    # component in a second.  Pairs in disjoint conjuncts are skipped.  held
-    # maps a root to its representatives' conjuncts, and shared counts the
-    # components of each conjunct beyond its first: at 0 no pair is left.
-    reps = _component_reps(uf, len(hits))
-    held = {uf.find(a): conj[a] for a in reps}
+    # graph components; join representatives (each component's first hit)
+    # reachable by a checked path: the straight segment in a first round,
+    # detours to the hits of b's component in a second.  Pairs in disjoint
+    # conjuncts are skipped.  held maps a label to its representatives'
+    # conjuncts, and shared counts the components of each conjunct beyond
+    # its first: at 0 no pair is left.
+    reps = sorted(map(min, filter(None, members)))
+    held = {label[a]: conj[a] for a in reps}
     shared = sum(map(len, held.values())) - len(set().union(*held.values()))
     searches = (
         lambda a, b: _segment_inside(tables, coords[a], coords[b], conj[a] & conj[b]),
         lambda a, b: _detour(region, tables, hits[a], conj[a], [
-            (hits[h], conj[h]) for h in range(len(hits)) if uf.find(h) == uf.find(b)
+            (hits[h], conj[h]) for h in sorted(members[label[b]])
         ]),
     )
     for search in searches:
         for a, b in itertools.product(reps, repeat=2):
             if not shared:
                 break
-            ra, rb = uf.find(a), uf.find(b)
-            if ra == rb or not (conj[a] & conj[b]) or not search(a, b):
+            la, lb = label[a], label[b]
+            if la == lb or not (conj[a] & conj[b]) or not search(a, b):
                 continue
-            uf.union(a, b)
-            shared -= len(held[ra] & held[rb])
-            held[uf.find(a)] = held.pop(ra) | held.pop(rb)
+            shared -= len(held[la] & held[lb])
+            merged = held.pop(la) | held.pop(lb)
+            held[_join(label, members, la, lb)] = merged
     comp: dict[int, list[int]] = {}
-    for i in range(len(hits)):
-        comp.setdefault(uf.find(i), []).append(i)
+    for i, li in enumerate(label):
+        comp.setdefault(li, []).append(i)
     groups = sorted(comp.values(), key=len, reverse=True)
     return ProbeReport(
         config.n_samples,
@@ -361,13 +363,6 @@ def probe(region: Region, config: ProbeConfig = ProbeConfig()) -> ProbeReport:
         edges,
         config,
     )
-
-
-def _component_reps(uf: _UnionFind, n: int) -> list[int]:
-    seen: dict[int, int] = {}
-    for i in range(n):
-        seen.setdefault(uf.find(i), i)
-    return list(seen.values())
 
 
 def _detour(

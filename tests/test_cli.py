@@ -487,6 +487,17 @@ class TestProbeCommand:
         lines = out.read_text().strip().splitlines()
         assert lines[0].startswith("component,size")
 
+    # a directory, and a file in a missing directory
+    @pytest.mark.parametrize("name", [".", "missing/components.csv"])
+    def test_unwritable_csv_exit_2(self, runner, tmp_path, name):
+        out = tmp_path / name
+        result = runner.invoke(
+            main, ["probe", str(EX53), "--samples", "50", "--csv", str(out)]
+        )
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)  # no traceback
+        assert f"error: cannot write {out}: " in result.output
+
     def test_bad_box_rejected(self, runner):
         result = runner.invoke(main, ["probe", str(EX53), "--box", "16:1/16"])
         assert result.exit_code != 0

@@ -14,14 +14,13 @@ from crnregions.connectivity import (
     ProbeReport,
     _cell_neighbours,
     _checkpoint_tables,
-    _component_reps,
     _conjunct_indices,
     _coords,
     _holds_along,
+    _join,
     _sample_points,
     _segment_inside,
     _squared_distance,
-    _UnionFind,
     _within_radius,
     connect_witnesses,
     probe,
@@ -95,6 +94,35 @@ def _within(coords, i, j, radius):
     return sum((a - b) ** 2 for a, b in zip(coords[i], coords[j])) <= radius**2
 
 
+class _RefUnionFind:
+    """A path-halving union-find: the reference's partition."""
+
+    def __init__(self, n):
+        self.parent = list(range(n))
+
+    def find(self, i):
+        while self.parent[i] != i:
+            self.parent[i] = self.parent[self.parent[i]]
+            i = self.parent[i]
+        return i
+
+    def union(self, i, j):
+        self.parent[self.find(i)] = self.find(j)
+
+    def reps(self):
+        """The first index of each set, in index order."""
+        seen = {}
+        for i in range(len(self.parent)):
+            seen.setdefault(self.find(i), i)
+        return list(seen.values())
+
+    def partition(self):
+        groups = {}
+        for i in range(len(self.parent)):
+            groups.setdefault(self.find(i), []).append(i)
+        return sorted(groups.values())
+
+
 def _reference_probe(region, config):
     """The probe over all pairs of hits, with root lookups in the merge pass
     and every conjunct evaluated at each checkpoint.  Pairs of components
@@ -103,7 +131,7 @@ def _reference_probe(region, config):
     hits = _sampled_hits(region, config)
     if not hits:
         return ProbeReport(config.n_samples, 0, 0, (), (), 0, config)
-    uf = _UnionFind(len(hits))
+    uf = _RefUnionFind(len(hits))
     coords = [_coords(region, h) for h in hits]
     edges = 0
     for i in range(len(hits)):
@@ -116,7 +144,7 @@ def _reference_probe(region, config):
             if _reference_segment_inside(region, hits[i], hits[j]):
                 uf.union(i, j)
                 edges += 1
-    reps = _component_reps(uf, len(hits))
+    reps = uf.reps()
     conj_of = {a: _conjunct_indices(region, hits[a]) for a in reps}
     for a in reps:
         for b in reps:
@@ -268,7 +296,8 @@ class TestProbe:
 
 
 class TestReferenceEquivalence:
-    """The cell-list probe gives the same report as the all-pairs one."""
+    """The cell-list probe, joining components by label, gives the report
+    of the all-pairs one with a union-find."""
 
     REGIONS = _equivalence_regions()
 
@@ -288,9 +317,10 @@ class TestReferenceEquivalence:
             cfg = ProbeConfig(seed=seed, n_samples=300, box=(0.0625, 16.0))
             hits = _sampled_hits(region, cfg)
             coords = [_coords(region, h) for h in hits]
-            for i, near in enumerate(_cell_neighbours(coords, radius) if coords else ()):
+            for i, (near, points) in enumerate(_cell_neighbours(coords, radius) if coords else ()):
                 within = {j for j in range(len(coords)) if _within(coords, i, j, radius)}
                 assert near == sorted(near) and within <= set(near)
+                assert points == [coords[j] for j in near]
             if radius == LINK_RADIUS:
                 assert probe(region, cfg) == _reference_probe(region, cfg)
 
@@ -302,6 +332,28 @@ class TestReferenceEquivalence:
         region = self.REGIONS[name]
         cfg = ProbeConfig(seed=1, n_samples=samples, box=(0.0625, 16.0))
         assert probe(region, cfg) == _reference_probe(region, cfg)
+
+    @given(
+        n=st.integers(1, 40),
+        pairs=st.lists(st.tuples(st.integers(0, 39), st.integers(0, 39)), max_size=60),
+    )
+    def test_labels_match_the_reference_union_find(self, n, pairs):
+        """Joins by label give the union-find's partition after every join,
+        and each label's member list holds exactly the hits with that label."""
+        label, members = list(range(n)), [[i] for i in range(n)]
+        uf = _RefUnionFind(n)
+        for i, j in pairs:
+            i, j = i % n, j % n
+            if label[i] != label[j]:
+                kept = _join(label, members, label[i], label[j])
+                assert label[i] == label[j] == kept
+            uf.union(i, j)
+            groups = {}
+            for h, lh in enumerate(label):
+                groups.setdefault(lh, []).append(h)
+            assert sorted(groups.values()) == uf.partition()
+            for lh, hs in enumerate(members):
+                assert sorted(hs) == groups.get(lh, [])
 
     def test_one_symbol_components(self):
         report = probe(self.REGIONS["one_symbol"], ProbeConfig(n_samples=300))

@@ -363,7 +363,7 @@ def cmd_probe(file, fmt, kind, seed, samples, box, csv_path) -> None:
         },
         "probe": report.to_json(),
     }
-    if csv_path and report.accepted_samples:
+    if csv_path:
         try:
             with open(csv_path, "w", newline="") as fh:
                 report.write_csv(fh)

@@ -10,7 +10,8 @@ sampling density.  It is numerical evidence, not a proof.
 A segment stays inside when one conjunct holding at both ends holds at its
 checkpoints.  A strict condition with at most two terms and no total
 constant is a half-space in log-rate coordinates, or holds everywhere or
-nowhere, and gets no checkpoints; the others cost one exp per term at each.
+nowhere, and gets no checkpoints; the others are tested at the checkpoint
+points, one exp per rate coordinate each, by the evaluator that tests draws.
 
 Candidate links come from a cell list (Bentley, Stanat and Williams 1977,
 fixed-radius near neighbours) on the first three sampling coordinates, so
@@ -30,12 +31,13 @@ link and merge passes depend on the hits alone.
 The float work runs in batches.  Draws are sampled and tested CHUNK at a
 time, one condition at a time over the draws that passed the ones before,
 each condition through one compiled expression (SymPoly.evaluate_floats).
-A segment test computes each term at all its checkpoints as one column.
-math.dist settles every candidate link except those within 1e-9 of the
-link radius, which get the exact sum-of-squares test.  Every float is still
-computed by the same operations in the same order as for one draw, one
-checkpoint or one pair at a time, so a seed's report is unchanged by the
-batching, bit for bit.
+A segment test builds its checkpoints as one batch of points, one coordinate
+column at a time, and tests them through the same evaluator, by way of
+SignCondition.holds_floats.  math.dist settles every candidate link except
+those within 1e-9 of the link radius, which get the exact sum-of-squares
+test.  Every float is still computed by the same operations in the same
+order as for one draw, one checkpoint or one pair at a time, so a seed's
+report is unchanged by the batching, bit for bit.
 
 Rate coordinates are strictly positive and are sampled log-uniformly;
 segments and distances for them live in log coordinates, which respects
@@ -52,10 +54,10 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from operator import add, mul, sub
-from typing import Callable, Sequence, TextIO
+from operator import sub
+from typing import Sequence, TextIO
 
-from .regions import _FLOAT_TESTS, Region
+from .regions import Region, SignCondition
 
 LINK_RADIUS = 1.0  # hits this close in sampling coordinates are link candidates
 SEGMENT_CHECKS = 32  # interior checkpoints of each segment test
@@ -169,50 +171,18 @@ def _conjunct_indices(region: Region, pt) -> frozenset[int]:
     return _held(region, [pt])[0]
 
 
-def _checkpoint_tables(region: Region) -> list[list[tuple[Callable[[float], bool], list]]]:
-    """Per conjunct, the conditions that the segment test checkpoints, as
-    (float test of the relation, terms), a term being (sign of c, log|c|, rate
-    exponents, (index, e) pairs of the total-constant exponents).  Half-spaces
-    are left out: holding at both endpoints, they hold on the whole segment.
-    """
+def _curved(region: Region) -> list[list[SignCondition]]:
+    """Per conjunct, the conditions the segment test checkpoints: a half-space
+    is left out, since it holds on a segment when it holds at both ends."""
     n = len(region.ambient) - region.totals
     return [
-        [
-            (_FLOAT_TESTS[c.rel], [
-                (math.copysign(1.0, k), math.log(abs(k)), e[:n],
-                 [(i, x) for i, x in enumerate(e[n:], n) if x])
-                for e, k in c.poly.terms.items()
-            ])
-            for c in conj
-            if c.rel == "=0" or len(c.poly.terms) > 2 or any(any(e[n:]) for e in c.poly.terms)
-        ]
+        [c for c in conj
+         if c.rel == "=0" or len(c.poly.terms) > 2 or any(any(e[n:]) for e in c.poly.terms)]
         for conj in region.conjuncts
     ]
 
 
-def _holds_along(test: Callable[[float], bool], terms: list, cp, cq) -> bool:
-    """The condition holds at cp + t (cq - cp) for each checkpoint t in _TS.
-
-    Each term is one column over the checkpoints: s exp(a + t b), with
-    a = log|c| + e·cp and b = e·(cq - cp) over the rates, times
-    (c0 + t dc) ** x for each total, and the columns are summed in term order
-    from 0.0: at each checkpoint, the operations of evaluating it alone.
-    """
-    exp = math.exp
-    steps = list(map(sub, cq, cp))
-    total = [0.0] * SEGMENT_CHECKS
-    for s, lc, er, tots in terms:
-        a = lc + sum(map(mul, er, cp))
-        b = sum(map(mul, er, steps))
-        col = [s * exp(a + t * b) for t in _TS]
-        for i, x in tots:
-            c0, dc = cp[i], steps[i]
-            col = [w * (c0 + t * dc) ** x for w, t in zip(col, _TS)]
-        total = list(map(add, total, col))
-    return all(map(test, total))
-
-
-def _segment_inside(tables: list, cp, cq, live: frozenset[int]) -> bool:
+def _segment_inside(region: Region, curved: list, cp, cq, live: frozenset[int]) -> bool:
     """Check the segment from cp to cq (sampling coordinates) stays inside
     one of the conjuncts live, those that hold at both endpoints.
 
@@ -220,8 +190,19 @@ def _segment_inside(tables: list, cp, cq, live: frozenset[int]) -> bool:
     checkpoints could otherwise jump across a thin gap between two
     disjoint conjuncts of a union.  This is conservative — it can split
     components that overlap across conjuncts, but never falsely joins.
+    A live conjunct with no curved condition passes at once; the others test
+    theirs at the checkpoints cp + t (cq - cp), t in _TS (exp for the rates).
     """
-    return any(all(_holds_along(*c, cp, cq) for c in tables[i]) for i in live)
+    if not live:
+        return False
+    if not all(curved[i] for i in live):
+        return True
+    n, exp = len(region.ambient) - region.totals, math.exp
+    steps = list(map(sub, cq, cp))
+    cols = [[exp(a + t * d) for t in _TS] for a, d in zip(cp[:n], steps[:n])]
+    cols += [[a + t * d for t in _TS] for a, d in zip(cp[n:], steps[n:])]
+    points = list(zip(*cols))
+    return any(all(all(c.holds_floats(points)) for c in curved[i]) for i in live)
 
 
 def _cell_neighbours(coords: list[tuple[float, ...]], radius: float) -> list[tuple[list, list]]:
@@ -308,7 +289,7 @@ def probe(region: Region, config: ProbeConfig = ProbeConfig()) -> ProbeReport:
                 conj.append(held)
     if not hits:
         return ProbeReport(config.n_samples, 0, 0, (), (), 0, config)
-    tables = _checkpoint_tables(region)
+    curved = _curved(region)
     coords = [_coords(region, h) for h in hits]
     # label[i] names i's component and members[l] lists the hits labelled l
     label = list(range(len(hits)))
@@ -321,7 +302,7 @@ def probe(region: Region, config: ProbeConfig = ProbeConfig()) -> ProbeReport:
         for j in _within_radius(coords[i], near[cut:], points[cut:]):
             if label[j] == li:
                 edges += 1
-            elif _segment_inside(tables, coords[i], coords[j], conj[i] & conj[j]):
+            elif _segment_inside(region, curved, coords[i], coords[j], conj[i] & conj[j]):
                 li = _join(label, members, li, label[j])
                 edges += 1
     # merge pass: sparse sampling can shatter a connected region into many
@@ -335,8 +316,8 @@ def probe(region: Region, config: ProbeConfig = ProbeConfig()) -> ProbeReport:
     held = {label[a]: conj[a] for a in reps}
     shared = sum(map(len, held.values())) - len(set().union(*held.values()))
     searches = (
-        lambda a, b: _segment_inside(tables, coords[a], coords[b], conj[a] & conj[b]),
-        lambda a, b: _detour(region, tables, hits[a], conj[a], [
+        lambda a, b: _segment_inside(region, curved, coords[a], coords[b], conj[a] & conj[b]),
+        lambda a, b: _detour(region, curved, hits[a], conj[a], [
             (hits[h], conj[h]) for h in sorted(members[label[b]])
         ]),
     )
@@ -366,7 +347,7 @@ def probe(region: Region, config: ProbeConfig = ProbeConfig()) -> ProbeReport:
 
 
 def _detour(
-    region: Region, tables: list, p, sp: frozenset[int],
+    region: Region, curved: list, p, sp: frozenset[int],
     targets: list[tuple[tuple, frozenset[int]]],
 ) -> list[tuple[float, ...]] | None:
     """The first three-leg path p, p', q', q that stays inside, or None.
@@ -384,13 +365,13 @@ def _detour(
             p2 = p[:i] + (p[i] * f,) + p[i + 1:]
             s2 = _conjunct_indices(region, p2)
             cp2 = _coords(region, p2)
-            if not _segment_inside(tables, cp, cp2, sp & s2):
+            if not _segment_inside(region, curved, cp, cp2, sp & s2):
                 continue
             moved = [q[:i] + (q[i] * f,) + q[i + 1:] for q, _ in targets]
             for (q, sq), q2, sq2 in zip(targets, moved, _held(region, moved)):
                 cq2 = _coords(region, q2)
-                if _segment_inside(tables, cp2, cq2, s2 & sq2) and _segment_inside(
-                    tables, cq2, _coords(region, q), sq2 & sq
+                if _segment_inside(region, curved, cp2, cq2, s2 & sq2) and _segment_inside(
+                    region, curved, cq2, _coords(region, q), sq2 & sq
                 ):
                     return [p, p2, q2, q]
     return None
@@ -414,7 +395,7 @@ def connect_witnesses(
         raise ValueError("endpoints must lie inside the region")
     if p == q:
         return [p]
-    tables = _checkpoint_tables(region)
-    if _segment_inside(tables, _coords(region, p), _coords(region, q), sp & sq):
+    curved = _curved(region)
+    if _segment_inside(region, curved, _coords(region, p), _coords(region, q), sp & sq):
         return [p, q]
-    return _detour(region, tables, p, sp, [(q, sq)])
+    return _detour(region, curved, p, sp, [(q, sq)])

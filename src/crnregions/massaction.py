@@ -183,8 +183,9 @@ class SymPoly:
         v = float(c), then v *= x_i ** e_i over the nonzero exponents in
         symbol order, then total += v from 0.0.  The loop is compiled on first
         use into one function, as dataclasses compiles its methods, that runs
-        v = v + c * x_i ** e_i * ... + ... at each point: the same operations
-        in the same order, bit for bit, in one interpreter pass per point.
+        v = v + c * x_i ** e_i * ... + ... at each point (x_i ** 1 is written
+        x_i, the same float): the same operations in the same order, bit for
+        bit, in one interpreter pass per point.
         A statement adds at most 100 terms, within the compiler's nesting limit.
         """
         fn = self._float_eval
@@ -192,7 +193,8 @@ class SymPoly:
             names = [f"x{i}" for i in range(self.nsym)]
             terms = [
                 " * ".join([f"({float(c)!r})"]
-                           + [f"{names[i]} ** {x}" for i, x in enumerate(e) if x])
+                           + [names[i] if x == 1 else f"{names[i]} ** {x}"
+                              for i, x in enumerate(e) if x])
                 for e, c in self.terms.items()
             ]
             lines = [
@@ -209,10 +211,6 @@ class SymPoly:
             exec("\n".join(lines), namespace)
             fn = self._float_eval = namespace["fn"]
         return fn(points)
-
-    def evaluate_float(self, point: Sequence[float]) -> float:
-        """The float value at one point: a batch of one."""
-        return self.evaluate_floats([point])[0]
 
     def sorted_terms(self) -> list[Term]:
         return [(c, e) for e, c in sorted(self.terms.items())]

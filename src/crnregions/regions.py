@@ -72,10 +72,10 @@ class SignCondition:
         return (v > 0) - (v < 0) == _SIGNS[self.rel]
 
     def holds_float(self, point: Sequence[float]) -> bool:
-        return _FLOAT_TESTS[self.rel](self.poly.evaluate_float(point))
+        return next(self.holds_floats((point,)))
 
     def holds_floats(self, points: Sequence[Sequence[float]]) -> Iterator[bool]:
-        """holds_float at each point of a batch (SymPoly.evaluate_floats)."""
+        """The float test at each point of a batch (SymPoly.evaluate_floats)."""
         return map(_FLOAT_TESTS[self.rel], self.poly.evaluate_floats(points))
 
 

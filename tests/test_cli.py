@@ -487,6 +487,17 @@ class TestProbeCommand:
         lines = out.read_text().strip().splitlines()
         assert lines[0].startswith("component,size")
 
+    def test_csv_without_hits_replaces_the_file(self, runner, tmp_path):
+        # deg_case2's region is empty: no sample is accepted, and an earlier
+        # file must not read as this run's components
+        out = tmp_path / "components.csv"
+        out.write_text("stale\n")
+        doc = run_json(
+            runner, "probe", str(NETS / "deg_case2.crn"), "--samples", "50", "--csv", str(out)
+        )
+        assert doc["probe"]["accepted_samples"] == 0
+        assert out.read_text().splitlines() == ["component,size"]
+
     # a directory, and a file in a missing directory
     @pytest.mark.parametrize("name", [".", "missing/components.csv"])
     def test_unwritable_csv_exit_2(self, runner, tmp_path, name):

@@ -13,10 +13,9 @@ from crnregions.connectivity import (
     ProbeConfig,
     ProbeReport,
     _cell_neighbours,
-    _checkpoint_tables,
     _conjunct_indices,
     _coords,
-    _holds_along,
+    _curved,
     _join,
     _sample_points,
     _segment_inside,
@@ -27,7 +26,6 @@ from crnregions.connectivity import (
 )
 from crnregions.network import parse_network
 from crnregions.regions import (
-    _FLOAT_TESTS,
     Region,
     SignCondition,
     SymPoly,
@@ -185,6 +183,23 @@ def _one_symbol_region():
         SignCondition(one * 3 - k, ">0"),
     )
     return Region("allowing", ("k",), ((gaps,), band), "hand_built")
+
+
+def _pinned_region():
+    """k - 4 = 0 and 2c - 3 = 0, which hold along a segment only where k is
+    exactly 4 and c exactly 1.5."""
+    k4 = SignCondition(SymPoly(3, {(1, 0, 0): 1, (0, 0, 0): -4}), "=0")
+    c3 = SignCondition(SymPoly(3, {(0, 0, 1): 2, (0, 0, 0): -3}), "=0")
+    return Region("enabling", ("k", "j", "c"), ((k4, c3),), "hand_built", totals=1)
+
+
+def _gap_in_each_conjunct_region():
+    """k^2 + k + 1 > 0 and the gap k^2 - 5k + 4 > 0, in both orders."""
+    k = SymPoly.symbol(1, 0)
+    one = SymPoly.const(1, 1)
+    always = SignCondition(k * k + k + one, ">0")
+    gap = SignCondition(k * k - k * 5 + one * 4, ">0")
+    return Region("allowing", ("k",), ((always, gap), (gap, always)), "hand_built")
 
 
 def _two_arms_region():
@@ -395,7 +410,7 @@ class TestConnectWitnesses:
 def _new_segment_inside(region, p, q):
     live = _conjunct_indices(region, p) & _conjunct_indices(region, q)
     cp, cq = _coords(region, p), _coords(region, q)
-    return _segment_inside(_checkpoint_tables(region), cp, cq, live)
+    return _segment_inside(region, _curved(region), cp, cq, live)
 
 
 @st.composite
@@ -423,7 +438,7 @@ class TestHalfSpaceShortcut:
                         ((SignCondition(poly, rel),),), "hand_built")
         p = _from_coords(region, u)
         q = _from_coords(region, v)
-        assert not _checkpoint_tables(region)[0]
+        assert not _curved(region)[0]
         # endpoints inside, and not so close to the boundary that the
         # reference's log/exp round trip lands a checkpoint on it
         for pt in (p, q):
@@ -437,7 +452,7 @@ class TestHalfSpaceShortcut:
 
     def test_trinomial_gap_is_checkpointed(self):
         region = _one_symbol_region()
-        assert _checkpoint_tables(region)[0]
+        assert _curved(region)[0]
         p, q = (0.5,), (5.0,)
         assert _conjunct_indices(region, p) == _conjunct_indices(region, q) == {0}
         assert not _new_segment_inside(region, p, q)
@@ -448,84 +463,88 @@ class TestHalfSpaceShortcut:
         enabling = TestReferenceEquivalence.REGIONS["running_enabling"]
         (cond,) = [c for c in enabling.conjuncts[0] if len(c.poly.terms) == 2]
         region = Region("enabling", enabling.ambient, ((cond,),), "hand_built", totals=1)
-        assert _checkpoint_tables(region)[0]
+        assert _curved(region)[0]
         p, q = (1.0, 1.0, -3.0), (1.0, 1.0, 3.0)
         assert membership_float(region, p) and membership_float(region, q)
         assert not _new_segment_inside(region, p, q)
         assert not _reference_segment_inside(region, p, q, 32)
 
 
-def _old_holds_along(test, terms, cp, cq):
-    """The per-checkpoint segment test that _holds_along replaced."""
-    line = [
-        (s, lc + sum(x * u for x, u in zip(er, cp)),
-         sum(x * (v - u) for x, u, v in zip(er, cp, cq)),
-         [(cp[i], cq[i] - cp[i], x) for i, x in tots])
-        for s, lc, er, tots in terms
-    ]
-    for j in range(1, SEGMENT_CHECKS + 1):
-        t, v = j / (SEGMENT_CHECKS + 1), 0.0
-        for s, a, b, tots in line:
-            w = s * math.exp(a + t * b)
-            for c0, dc, x in tots:
-                w *= (c0 + t * dc) ** x
-            v += w
-        if not test(v):
-            return False
-    return True
+def _exact_sign(poly, point):
+    v = sum(t for _, t in poly.term_values(point))
+    return ("<0", "=0", ">0")[(v > 0) - (v < 0) + 1]
 
 
 @st.composite
-def _checkpointed_conditions(draw):
-    """A condition over 1-4 rates and 0-2 totals, as _checkpoint_tables
-    writes it, and two endpoints in sampling coordinates.  Terms differ in
-    size by up to 2^80, and some come with their exact negation, so that the
-    sums at the checkpoints depend on the order of the additions."""
+def _curved_regions(draw):
+    """A region over 1-4 rates and 0-2 totals whose conditions all need
+    checkpoints (three or more terms each), and two endpoints in sampling
+    coordinates.  Coefficients differ in size by up to 2^80, and some come
+    with their exact negation, so that the values at the checkpoints depend
+    on the order of the operations.  Most relations are the sign at both
+    endpoints where the two agree, and some conditions are gaps that hold at
+    both endpoints but not in between, so that the checkpoints decide."""
     n, m = draw(st.integers(1, 4)), draw(st.integers(0, 2))
     rate_exps = st.tuples(*[st.integers(0, 3)] * n)
-    total_exps = st.tuples(*[st.integers(0, 2)] * m)
-    terms = []
-    for _ in range(draw(st.integers(1, 4))):
-        s = draw(st.sampled_from([-1.0, 1.0]))
-        lc = math.log(draw(st.integers(1, 9))) + draw(st.sampled_from([0, 80])) * math.log(2)
-        er = draw(rate_exps)
-        tots = [(n + i, x) for i, x in enumerate(draw(total_exps)) if x]
-        terms.append((s, lc, er, tots))
-        if draw(st.booleans()):
-            terms.append((-s, lc, er, tots))
-    terms = draw(st.permutations(terms))
-    test = _FLOAT_TESTS[draw(st.sampled_from(["<0", "=0", ">0"]))]
+    exps = st.tuples(*[st.integers(0, 3)] * n, *[st.integers(0, 2)] * m)
+    coeff = st.builds(lambda c, s, big: c * s * big, st.integers(1, 9),
+                      st.sampled_from([1, -1]), st.sampled_from([1, 2**80]))
     coord = st.floats(-3.0, 3.0)
-    cp, cq = (draw(st.tuples(*[coord] * (n + m))) for _ in range(2))
-    return test, terms, cp, cq
+    u, v = (draw(st.tuples(*[coord] * (n + m))) for _ in range(2))
+    p, q = (tuple(map(math.exp, w[:n])) + w[n:] for w in (u, v))
+    conjuncts = []
+    for _ in range(draw(st.integers(1, 2))):
+        conj = []
+        for _ in range(draw(st.integers(1, 2))):
+            if not draw(st.integers(0, 3)):
+                # (D x^e - A)(D x^e - B) > 0, x^e being A / D and B / D
+                # halfway between checkpoints j - 1 and j and between j + k
+                # and j + k + 1: x^e is monotone along the segment, so the
+                # condition holds at both ends and fails at those between
+                e = draw(rate_exps.filter(any))
+                j, k = draw(st.integers(1, SEGMENT_CHECKS)), draw(st.integers(0, 2))
+                a, b = (
+                    max(1, round(2**20 * math.exp(sum(x * (s + t * (w - s))
+                                                      for x, s, w in zip(e, u, v)))))
+                    for t in ((j - 0.5) / (SEGMENT_CHECKS + 1),
+                              (min(j + k, SEGMENT_CHECKS) + 0.5) / (SEGMENT_CHECKS + 1))
+                )
+                zero = (0,) * (n + m)
+                terms = {tuple(2 * x for x in e) + zero[n:]: 2**40,
+                         e + zero[n:]: -(a + b) * 2**20, zero: a * b}
+                conj.append(SignCondition(SymPoly(n + m, terms), ">0"))
+                continue
+            cs: list[int] = []
+            for _ in range(draw(st.integers(3, 4))):
+                cs.append(-cs[-1] if cs and draw(st.booleans()) else draw(coeff))
+            es = draw(st.lists(exps, min_size=len(cs), max_size=len(cs), unique=True))
+            poly = SymPoly(n + m, dict(zip(es, cs)))
+            signs = {_exact_sign(poly, p), _exact_sign(poly, q)}
+            rel = draw(st.sampled_from(["<0", "=0", ">0"]))
+            if len(signs) == 1 and draw(st.integers(0, 3)):
+                (rel,) = signs
+            conj.append(SignCondition(poly, rel))
+        conjuncts.append(tuple(conj))
+    region = Region("enabling" if m else "allowing", tuple(f"s{i}" for i in range(n + m)),
+                    tuple(conjuncts), "hand_built", totals=m)
+    return region, u, v
 
 
 class TestBatchedKernels:
     """The batched float kernels give what one checkpoint, one draw or one
     pair at a time gives."""
 
-    # 2^80 - 2^80 + 1 > 0, while 1 - 2^80 + 2^80 is 0
-    @example(case=(_FLOAT_TESTS[">0"], [
-        (1.0, 80 * math.log(2), (1,), []),
-        (-1.0, 80 * math.log(2), (1,), []),
-        (1.0, 0.0, (0,), []),
-    ], (0.0,), (1.0,)))
-    @given(case=_checkpointed_conditions())
-    def test_holds_along_matches_the_per_checkpoint_loop(self, case):
-        assert _holds_along(*case) == _old_holds_along(*case)
-
-    def test_holds_along_on_the_bundled_conditions(self):
-        rng = random.Random(7)
-        for region in TestReferenceEquivalence.REGIONS.values():
-            d = len(region.ambient)
-            for conds in _checkpoint_tables(region):
-                for test, terms in conds:
-                    for _ in range(50):
-                        cp = tuple(rng.uniform(-3, 3) for _ in range(d))
-                        cq = tuple(rng.uniform(-3, 3) for _ in range(d))
-                        assert _holds_along(test, terms, cp, cq) == _old_holds_along(
-                            test, terms, cp, cq
-                        )
+    # k stays exp(log 4) = 4 and c stays 1.5 only if each checkpoint is
+    # a + t (b - a) bit for bit; the gap fails between k = 1 and k = 4,
+    # whichever condition comes first
+    @example(case=(_pinned_region(), (math.log(4.0), 0.0, 1.5), (math.log(4.0), 1.0, 1.5)))
+    @example(case=(_gap_in_each_conjunct_region(), (math.log(0.5),), (math.log(5.0),)))
+    @given(case=_curved_regions())
+    def test_segment_inside_matches_the_reference(self, case):
+        region, u, v = case
+        assert _curved(region) == [list(conj) for conj in region.conjuncts]
+        p, q = _from_coords(region, u), _from_coords(region, v)
+        assert _new_segment_inside(region, p, q) == _reference_segment_inside(region, p, q)
 
     def test_sample_points_draw_as_rng_uniform_does(self):
         enabling = TestReferenceEquivalence.REGIONS["running_enabling"]

@@ -143,7 +143,7 @@ class TestSymPoly:
             )
             for _ in range(5):
                 point = tuple(rng.uniform(-50.0, 50.0) for _ in range(nsym))
-                got = poly.evaluate_float(point).hex()
+                got = poly.evaluate_floats([point])[0].hex()
                 assert got == _term_loop(poly, point).hex(), (poly, point)
 
     def test_evaluate_floats_of_many_terms(self):
@@ -167,7 +167,7 @@ class TestSymPoly:
         points = data.draw(st.lists(st.tuples(*[coord] * nsym), max_size=12))
         want = [_term_loop(poly, pt).hex() for pt in points]
         assert [v.hex() for v in poly.evaluate_floats(points)] == want
-        assert [poly.evaluate_float(pt).hex() for pt in points] == want
+        assert [poly.evaluate_floats([pt])[0].hex() for pt in points] == want
         for rel in ("<0", "=0", ">0"):
             cond = SignCondition(poly, rel)
             assert list(cond.holds_floats(points)) == [cond.holds_float(pt) for pt in points]

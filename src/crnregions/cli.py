@@ -96,6 +96,10 @@ def _parse_box(value: str) -> tuple[float, float]:
 @click.version_option(version=__version__)
 def main() -> None:
     """Multistationarity regions of small mass-action networks."""
+    # exact coefficients and discriminants can exceed the 4300 digits CPython
+    # (3.10.7 on) converts to text by default; the output must show them whole
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
 
 
 fmt_option = click.option(
@@ -354,7 +358,10 @@ def cmd_probe(file, fmt, kind, seed, samples, box, csv_path) -> None:
     try:
         report = probe(region, cfg)
     except OverflowError:
-        _fail("box too wide for floating-point evaluation", EXIT_PARSE)
+        _fail(
+            "box too wide, or region coefficients too large, for floating-point evaluation",
+            EXIT_PARSE,
+        )
     payload = {
         "schema_version": SCHEMA_VERSION,
         "analytic_verdict": {

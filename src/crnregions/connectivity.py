@@ -13,11 +13,13 @@ constant is a half-space in log-rate coordinates, or holds everywhere or
 nowhere, and gets no checkpoints; the others are tested at the checkpoint
 points, one exp per rate coordinate each, by the evaluator that tests draws.
 
-Candidate links come from a cell list (Bentley, Stanat and Williams 1977,
-fixed-radius near neighbours) on the first three sampling coordinates, so
-the report, edge count included, is the one the test over all pairs gives.
-Each cell has one integer key and keeps its hits' coordinates beside its
-sorted neighbour list, so a hit measures its later neighbours on a slice.
+math.dist decides each link: two hits are link candidates when the
+math.dist of their sampling coordinates is at most LINK_RADIUS.  Candidates
+come from a cell list (Bentley, Stanat and Williams 1977, fixed-radius near
+neighbours) on the first three sampling coordinates, so the report, edge
+count included, is the one the math.dist test over all pairs gives.  Each
+cell has one integer key and keeps its hits' coordinates beside its sorted
+neighbour list, so a hit measures its later neighbours on a slice.
 Each hit carries its component's label and each label lists its hits; a
 join relabels the smaller component, so a linked pair costs one list read.
 The merge pass tries pairs of representatives in a fixed order and stops
@@ -33,11 +35,9 @@ time, one condition at a time over the draws that passed the ones before,
 each condition through one compiled expression (SymPoly.evaluate_floats).
 A segment test builds its checkpoints as one batch of points, one coordinate
 column at a time, and tests them through the same evaluator, by way of
-SignCondition.holds_floats.  math.dist settles every candidate link except
-those within 1e-9 of the link radius, which get the exact sum-of-squares
-test.  Every float is still computed by the same operations in the same
-order as for one draw, one checkpoint or one pair at a time, so a seed's
-report is unchanged by the batching, bit for bit.
+SignCondition.holds_floats.  Every float is still computed by the same
+operations in the same order as for one draw, one checkpoint or one pair at
+a time, so a seed's report is unchanged by the batching, bit for bit.
 
 Rate coordinates are strictly positive and are sampled log-uniformly;
 segments and distances for them live in log coordinates, which respects
@@ -66,9 +66,6 @@ DETOUR_SHIFTS = (1, -1, 2, -2, 3, -3)  # k of the 2^k rate scalings a detour tri
 
 # the checkpoints' t = j / (SEGMENT_CHECKS + 1), 0 < j <= SEGMENT_CHECKS
 _TS = [j / (SEGMENT_CHECKS + 1) for j in range(1, SEGMENT_CHECKS + 1)]
-# math.dist bounds around the link radius (_within_radius): the margins
-# dwarf the rounding of math.dist and of the exact sum of squares
-_NEAR, _FAR = LINK_RADIUS * (1 - 1e-9), LINK_RADIUS * (1 + 1e-9)
 
 
 @dataclass(frozen=True)
@@ -211,11 +208,11 @@ def _cell_neighbours(coords: list[tuple[float, ...]], radius: float) -> list[tup
 
     Cells are hashed on the first k = min(3, d) coordinates.  Their side is
     the radius widened by 1e-9 and by 1e-15 of the largest |x| / radius,
-    which exceeds the rounding of the distance test and of x / side: two
-    points that pass the test are never two cells apart on an axis, so the
-    lists hold every pair within the radius.  A cell's key mixes its
-    floor(x / side) + 1 - min per axis in a radix two wider than their range,
-    so a neighbour's -1 or +1 never carries into the next axis.
+    which exceeds the rounding of math.dist and of x / side: two points whose
+    math.dist is at most the radius are never two cells apart on an axis, so
+    the lists hold every such pair.  A cell's key mixes its floor(x / side)
+    + 1 - min per axis in a radix two wider than their range, so a
+    neighbour's -1 or +1 never carries into the next axis.
     """
     k = min(3, len(coords[0]))
     reach = max((abs(x) for c in coords for x in c[:k]), default=0.0) / radius
@@ -237,29 +234,11 @@ def _cell_neighbours(coords: list[tuple[float, ...]], radius: float) -> list[tup
     return [near[key] for key in keys]
 
 
-def _squared_distance(ci: tuple[float, ...], cj: tuple[float, ...]) -> float:
-    """sum([(a - b) ** 2 for a, b in zip(ci, cj)]): the link test's distance,
-    which _within_radius computes only for pairs near the link radius."""
-    return sum([(a - b) ** 2 for a, b in zip(ci, cj)])
-
-
 def _within_radius(ci: tuple[float, ...], later: list[int], points: list) -> list[int]:
     """The j in later, in order, whose point (points[t] for later[t]) has
-    _squared_distance from ci at most LINK_RADIUS ** 2.
-
-    math.dist measures every pair at C speed.  It and the sum of squares each
-    err by a few units in the last place, far below the 1e-9 margins: a pair
-    within _NEAR passes the exact test and one beyond _FAR fails it, so only
-    the pairs in between are measured again, and the result is the exact
-    test's on all of later.
-    """
-    ds = list(map(math.dist, itertools.repeat(ci), points))
-    r2 = LINK_RADIUS**2
-    return [
-        j
-        for j, cj, d in itertools.compress(zip(later, points, ds), map(_FAR.__ge__, ds))
-        if d <= _NEAR or _squared_distance(ci, cj) <= r2
-    ]
+    math.dist from ci at most LINK_RADIUS."""
+    ds = map(math.dist, itertools.repeat(ci), points)
+    return list(itertools.compress(later, map(LINK_RADIUS.__ge__, ds)))
 
 
 def _join(label: list[int], members: list[list[int]], a: int, b: int) -> int:
@@ -331,10 +310,8 @@ def probe(region: Region, config: ProbeConfig = ProbeConfig()) -> ProbeReport:
             shared -= len(held[la] & held[lb])
             merged = held.pop(la) | held.pop(lb)
             held[_join(label, members, la, lb)] = merged
-    comp: dict[int, list[int]] = {}
-    for i, li in enumerate(label):
-        comp.setdefault(li, []).append(i)
-    groups = sorted(comp.values(), key=len, reverse=True)
+    # largest first, ties in the order of their first hits
+    groups = sorted(map(sorted, filter(None, members)), key=lambda g: (-len(g), g[0]))
     return ProbeReport(
         config.n_samples,
         len(hits),

@@ -594,6 +594,51 @@ class TestCountRootsCommand:
         assert not docs or docs[0] == docs[1]
 
 
+# the allowing region's coefficients have more than 4300 decimal digits
+HUGE_COEFFICIENTS = "0 -> A\n801A -> 800A\n1600A -> 1601A\n"
+
+
+@pytest.fixture()
+def default_int_digits():
+    """CPython's default limit on int-to-text conversion for the test, where
+    the interpreter has one: an earlier in-process run may have lifted it."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+@pytest.mark.usefixtures("default_int_digits")
+class TestHugeIntegers:
+    @pytest.fixture()
+    def net(self, tmp_path):
+        path = tmp_path / "huge.crn"
+        path.write_text(HUGE_COEFFICIENTS)
+        return str(path)
+
+    def test_region_json(self, runner, net):
+        doc = run_json(runner, "region", net)
+        assert max(abs(c) for c, _ in doc["conditions"][0]["poly"]) > 10**4300
+
+    def test_region_text(self, runner, net):
+        result = runner.invoke(main, ["region", net, "--format", "text"])
+        assert result.exit_code == 0, result.output + str(result.exception)
+        assert max(map(len, result.output.split())) > 4300
+
+    def test_count_roots(self, runner):
+        doc = run_json(runner, "count-roots", "--poly", "x^1600 - 3x^801 + 1")
+        assert doc["sturm"] == 2
+        assert len(doc["trinomial_D"]) > 4300
+
+    def test_probe_names_the_coefficients(self, runner, net):
+        # the default box: float() of a coefficient overflows
+        result = runner.invoke(main, ["probe", net])
+        assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
+        assert "region coefficients too large" in result.output
+
 
 _rationals = st.sampled_from(["0", "1", "-1", "2", "1/2", "3/7", "-3", "5"])
 

@@ -19,7 +19,6 @@ from crnregions.connectivity import (
     _join,
     _sample_points,
     _segment_inside,
-    _squared_distance,
     _within_radius,
     connect_witnesses,
     probe,
@@ -561,10 +560,10 @@ class TestBatchedKernels:
         assert rng.random() == ref.random()
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 5])
-    def test_within_radius_at_the_radius(self, dim):
-        """Pairs at d2 = r2 exactly and one ulp either side get the exact
-        sum-of-squares answer."""
-        r2 = LINK_RADIUS**2
+    def test_cell_list_holds_every_link_at_the_radius(self, dim):
+        """Walking a point by ulps across the link radius, the cell list
+        lists it and _within_radius links it exactly when math.dist is at
+        most LINK_RADIUS; both outcomes occur."""
         rng = random.Random(dim)
         found = set()
         for _ in range(20):
@@ -577,9 +576,9 @@ class TestBatchedKernels:
                 cj[-1] = math.nextafter(cj[-1], -math.inf)
             for _ in range(80):
                 cj[-1] = math.nextafter(cj[-1], math.inf)
-                d2 = _squared_distance(ci, cj)
-                found.add(d2)
-                assert _within_radius(ci, [0], [tuple(cj)]) == ([0] if d2 <= r2 else [])
-        # in one dimension d2 is a square, and no square is one ulp away from 1
-        ulps = (math.nextafter(r2, 0.0), math.nextafter(r2, math.inf)) if dim > 1 else ()
-        assert {r2, *ulps} <= found
+                linked = math.dist(ci, cj) <= LINK_RADIUS
+                found.add(linked)
+                near, points = _cell_neighbours([ci, tuple(cj)], LINK_RADIUS)[0]
+                assert 1 in near or not linked
+                assert _within_radius(ci, near[1:], points[1:]) == ([1] if linked else [])
+        assert found == {True, False}

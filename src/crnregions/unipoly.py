@@ -85,9 +85,6 @@ class UniPoly:
     def __eq__(self, other) -> bool:
         return isinstance(other, UniPoly) and self.coeffs == other.coeffs
 
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
     def __add__(self, other: "UniPoly") -> "UniPoly":
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
@@ -96,12 +93,6 @@ class UniPoly:
         for i, c in enumerate(b):
             out[i] += c
         return UniPoly(out)
-
-    def __neg__(self) -> "UniPoly":
-        return UniPoly([-c for c in self.coeffs])
-
-    def __sub__(self, other: "UniPoly") -> "UniPoly":
-        return self + (-other)
 
     def __mul__(self, other: "UniPoly") -> "UniPoly":
         if self.is_zero or other.is_zero:
@@ -279,7 +270,7 @@ def _exact_quotient(a: list[int], b: list[int]) -> list[int]:
     return _positive_primitive(q)
 
 
-def _count_open(p: UniPoly, a: Fraction, b: Fraction | None) -> int:
+def sturm_count_open_interval(p: UniPoly, a: Fraction, b: Fraction | None) -> int:
     """Distinct roots of p in the open interval (a, b); b = None means +inf.
 
     On (0, inf) Descartes' rule of signs comes first: at most one sign
@@ -306,17 +297,7 @@ def _count_open(p: UniPoly, a: Fraction, b: Fraction | None) -> int:
 def sturm_count_positive(p: UniPoly) -> int:
     """Number of distinct roots in (0, inf): Descartes' rule, else one
     integer Sturm chain."""
-    return _count_open(p, Fraction(0), None)
-
-
-def sturm_count_open_interval(p: UniPoly, a: Fraction, b: Fraction | None) -> int:
-    """Distinct roots of p in the open interval (a, b); b=None means +inf.
-    Endpoints other than ints and Fractions are read through Fraction."""
-    if not isinstance(a, (int, Fraction)):
-        a = Fraction(a)
-    if not (b is None or isinstance(b, (int, Fraction))):
-        b = Fraction(b)
-    return _count_open(p, a, b)
+    return sturm_count_open_interval(p, Fraction(0), None)
 
 
 def root_upper_bound(p: UniPoly) -> Fraction:
@@ -334,9 +315,10 @@ REL_WIDTH = Fraction(1, 10**12)
 def rational_roots(p: UniPoly) -> list[Fraction]:
     """Rational roots of p (without multiplicity), by the rational root test.
 
-    Enumerating divisors is only feasible for moderate coefficients; when
-    the constant or leading coefficient exceeds DIVISOR_BOUND the search
-    is skipped (callers fall back to isolating intervals).
+    Degrees 1 and 2 (after dividing out x) are solved in closed form.  From
+    degree 3 on, the divisor search is skipped when the constant or leading
+    coefficient exceeds DIVISOR_BOUND, and the list holds at most 0
+    (callers fall back to isolating intervals).
     """
     q, v = p.strip_root_at_zero()
     cs = _primitive(list(q.coeffs))
@@ -383,9 +365,12 @@ def isolate_positive_roots(p: UniPoly,
                            squarefree: UniPoly | None = None) -> list[tuple[Fraction, Fraction]]:
     """Disjoint open rational intervals, each holding exactly one positive root.
 
-    Exact rational roots r are returned as the degenerate interval (r, r).
-    The closure of every other interval holds no other root of p, 0
-    included, so refine_root(p, a, b) converges to the root it isolates.
+    The rational roots that rational_roots finds are returned as degenerate
+    intervals (r, r).  It finds all of them unless it skips its divisor
+    search (see there); a rational root it misses stays in the polynomial
+    that is bisected, and gets an interval like an irrational root.  The
+    closure of every other interval holds no other root of p, 0 included,
+    so refine_root(p, a, b) converges to the root it isolates.
     squarefree, when given, is the squarefree part of p with its root at 0
     divided out, which is otherwise computed here.
     """
@@ -402,7 +387,10 @@ def isolate_positive_roots(p: UniPoly,
     others = rational + ([Fraction(0)] if v else [])
 
     def split(a: Fraction, b: Fraction) -> tuple[Fraction, int]:
-        """A midpoint of (a, b) that is not a root, and the roots left of it."""
+        """A midpoint of (a, b) that is not a root of work, and the roots left
+        of it.  The midpoint can be a root only when rational_roots skipped
+        its search and left a rational root in work; then it moves towards a
+        until it is not one, so no interval end is ever a root."""
         mid = (a + b) / 2
         while _sign_at(work, mid.numerator, mid.denominator) == 0:
             mid = (a + mid) / 2
@@ -431,22 +419,23 @@ def refine_root(p: UniPoly, a: Fraction, b: Fraction,
                 squarefree: UniPoly | None = None) -> Fraction:
     """Bisect the isolating interval (a, b) down to relative width REL_WIDTH.
 
+    Neither end may be a root, as in the intervals of isolate_positive_roots;
+    a ValueError says so otherwise.  A midpoint that is a root is returned
+    exactly: that happens only for a rational root that rational_roots left
+    to bisection (see isolate_positive_roots).
+
     Bisects the squarefree part of p on dyadic midpoints, held as integer
     numerators over one common denominator; the result is the same rational
     that halving Fractions would give.  squarefree may stand in for that
     part: isolate_positive_roots's differs by a factor x when 0 is a root,
     and then a > 0, so the bisection takes the same steps.
     """
-    if a == b:
-        return a
     sf = list((p.squarefree_part() if squarefree is None else squarefree).coeffs)
     den = math.lcm(a.denominator, b.denominator)
     an, bn = a.numerator * (den // a.denominator), b.numerator * (den // b.denominator)
     sa = _sign_at(sf, an, den)
-    if sa == 0:
-        return a
-    if _sign_at(sf, bn, den) == 0:
-        return b
+    if sa == 0 or _sign_at(sf, bn, den) == 0:
+        raise ValueError(f"an end of ({a}, {b}) is a root, so this is not an isolating interval")
     rn, rd = REL_WIDTH.numerator, REL_WIDTH.denominator
     while (bn - an) * rd > rn * max(abs(an), abs(bn), den):
         mn = an + bn
@@ -462,9 +451,11 @@ def refine_root(p: UniPoly, a: Fraction, b: Fraction,
 
 
 def positive_roots(p: UniPoly) -> list[Fraction]:
-    """The distinct positive roots of p in increasing order: rational roots
-    exactly, the others refined by refine_root on their isolating intervals.
-    The squarefree part is computed once, for both."""
+    """The distinct positive roots of p in increasing order: the rational
+    roots that rational_roots finds exactly, the others refined by
+    refine_root on their isolating intervals.  Where rational_roots skips
+    its search, a rational root is exact only if a bisection midpoint lands
+    on it.  The squarefree part is computed once, for both."""
     sf = p.strip_root_at_zero()[0].squarefree_part()
     return [
         a if a == b else refine_root(p, a, b, squarefree=sf)

@@ -117,6 +117,32 @@ class TestParseCommand:
         assert result.exit_code == 2
         assert "zero reaction vector) (line 2, col 10)" in result.output
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("A -> 0A; k1\n", "zero coefficient in term '0A' (line 1, col 1)"),
+            (
+                "A -> 0; k1\nA -> 2147483648A; k2\n",
+                "coefficient too large in '2147483648A' (line 2, col 1)",
+            ),
+            ("0 -> A; k1\nA -> 0;\n", "empty rate label clause (line 2, col 1)"),
+            ("0 -> A\nA -> B -> C; k\n", "1 labels for 2 reactions (line 2, col 1)"),
+        ],
+        ids=["zero_coefficient", "coefficient_too_large", "empty_label", "one_label_two_reactions"],
+    )
+    def test_parse_errors_name_their_position(self, runner, tmp_path, text, message):
+        bad = tmp_path / "bad.crn"
+        bad.write_text(text)
+        result = runner.invoke(main, ["parse", str(bad)])
+        assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
+        assert result.output == f"parse error: {message}\n"
+
+    def test_largest_coefficient_parses(self, runner, tmp_path):
+        # network.MAX_COEFF = 2^31 - 1 is allowed, one more is not (above)
+        net = tmp_path / "net.crn"
+        net.write_text("A -> 0; k1\nA -> 2147483647A; k2\n")
+        assert run_json(runner, "parse", str(net))["n_reactions"] == 2
+
     @pytest.mark.parametrize("command", ["parse", "analyze"])
     def test_undecodable_file_exit_2(self, runner, tmp_path, command):
         bad = tmp_path / "bad.crn"
@@ -402,6 +428,14 @@ class TestWitnessCommand:
         assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
         assert "rate constants must be positive" in result.output
 
+    @pytest.mark.parametrize("kappa", ["1,a", "1,", "1/0,1"])
+    def test_bad_kappa_list_exit_2(self, runner, kappa):
+        result = runner.invoke(
+            main, ["witness", str(RUNNING), "--kappa", kappa, "--c", "1"]
+        )
+        assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
+        assert "Invalid value: expected comma-separated rationals" in result.output
+
     def test_oracle_refusal_exit_3(self, runner, monkeypatch):
         monkeypatch.setattr(cli, "count_positive_steady_states", _refuse)
         result = runner.invoke(main, ["witness", str(ACR)])
@@ -458,6 +492,15 @@ class TestWitnessCommand:
         assert states[0] == pytest.approx((small, large), rel=1e-10)
         assert states[1] == pytest.approx((large, small), rel=1e-10)
 
+    def test_rational_state_beyond_the_divisor_search_is_exact(self, runner, tmp_path):
+        # x' = k1 - k2 x + k3 x^3 vanishes at x = 1 when k2 = k1 + k3.  With
+        # k1 above unipoly.DIVISOR_BOUND the rational root test is skipped,
+        # so x = 1 is bisected, and refine_root returns it as a midpoint
+        net = tmp_path / "cubic.crn"
+        net.write_text("0 -> A; k1\nA -> 0; k2\n3A -> 4A; k3\n")
+        doc = run_json(runner, "witness", str(net), "--kappa", "16777214,16777215,1")
+        assert doc["count"] == 2 and doc["steady_states"][0] == ["1"]
+
     def test_one_species_continuum(self, runner, tmp_path):
         net = tmp_path / "flat.crn"
         net.write_text("A -> 0; k1\nA -> 2A; k2\n")
@@ -467,6 +510,14 @@ class TestWitnessCommand:
 
 
 class TestProbeCommand:
+    def test_text_format(self, runner):
+        result = runner.invoke(main, ["probe", str(EX53), "--samples", "200", "--format", "text"])
+        assert result.exit_code == 0
+        assert result.output.splitlines() == [
+            "analytic verdict: Connected [FeliuTelek_one_negative]",
+            "probe: 67/200 samples accepted, 1 component(s), 133 edges (seed 42)",
+        ]
+
     def test_prop51_two_components(self, runner):
         doc = run_json(
             runner, "probe", str(PROP51), "--box", "1/8:8", "--samples", "4000"
@@ -539,6 +590,18 @@ class TestProbeCommand:
 
 
 class TestCountRootsCommand:
+    @pytest.mark.parametrize(
+        "text, lines",
+        [
+            ("x^2-3x+2", ["descartes bound: 2", "sturm count (distinct positive roots): 2",
+                          "trichotomy count: 2 (D = -1)"]),
+            ("x^3-2x^2+3x-1", ["descartes bound: 3", "sturm count (distinct positive roots): 1"]),
+        ],
+    )
+    def test_text_format(self, runner, text, lines):
+        result = runner.invoke(main, ["count-roots", "--poly", text, "--format", "text"])
+        assert result.exit_code == 0 and result.output.splitlines() == lines
+
     def test_trinomial(self, runner):
         doc = run_json(runner, "count-roots", "--poly", "x^2-3x+2")
         assert doc["descartes_bound"] == 2
@@ -561,9 +624,10 @@ class TestCountRootsCommand:
 
     @pytest.mark.parametrize(
         "text",
-        ["x^2 ** y", "3/0", "x^2 - 3/0x", "x^2 3x", "2 3"],
+        ["x^2 ** y", "3/0", "x^2 - 3/0x", "x^2 3x", "2 3", " ", "x^2 - y", "x^2 -"],
         ids=[
-            "operator", "zero_denominator", "zero_denominator_term", "no_sign", "no_sign_constants"
+            "operator", "zero_denominator", "zero_denominator_term", "no_sign", "no_sign_constants",
+            "empty", "two_variables", "dangling_sign",
         ],
     )
     def test_garbage_rejected(self, runner, text):

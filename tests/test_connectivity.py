@@ -582,3 +582,14 @@ class TestBatchedKernels:
                 assert 1 in near or not linked
                 assert _within_radius(ci, near[1:], points[1:]) == ([1] if linked else [])
         assert found == {True, False}
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_cell_side_is_wider_than_the_radius(self, dim):
+        """math.dist rounds 1 + 2^-53 down to the radius 1, yet x / 1 puts
+        the two points in cells 0 and 2; the widened side makes them
+        neighbours."""
+        ci, cj = (1 - 2**-53,) + (0.0,) * (dim - 1), (2.0,) + (0.0,) * (dim - 1)
+        assert math.dist(ci, cj) == 1.0
+        assert (math.floor(ci[0] / 1.0), math.floor(cj[0] / 1.0)) == (0, 2)
+        near, _ = _cell_neighbours([ci, cj], 1.0)[0]
+        assert near == [0, 1]

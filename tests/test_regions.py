@@ -353,6 +353,41 @@ class TestTwoSpeciesRegions:
             "case 4": 48,
         }
 
+    def test_degenerate_witnesses_in_both_reaction_orders(self):
+        # every degenerate two-species, two-reaction net with coefficients
+        # <= 4, in both reaction orders: the witness lies in its enabling
+        # region and the oracle sees a continuum there.  The reversed order
+        # reaches case 1 with a2 >= 0 and cases 3 and 4 with e > 0.  The
+        # closed form picks the nets, and the classifier must agree on them.
+        cpx = list(itertools.product(range(5), repeat=2))
+        rxns = [(y, yp) for y in cpx for yp in cpx if y != yp]
+        seen = Counter()
+        for pair in itertools.permutations(rxns, 2):
+            if _closed_form(*pair[0], *pair[1]) != (True, False):
+                continue
+            if not all(any(y[j] or yp[j] for y, yp in pair) for j in (0, 1)):
+                continue
+            net = ReactionNetwork(
+                ("A", "B"),
+                tuple(
+                    Reaction(Complex(y), Complex(yp), f"k{i}") for i, (y, yp) in enumerate(pair)
+                ),
+            )
+            verdict = classify(net)
+            assert verdict.multistationary and not verdict.nondegenerate, pair
+            seen[verdict.detail] += 1
+            enabling, _ = region_two_species_two_reactions(net)
+            (w,) = enabling.witnesses
+            assert w is not None and membership(enabling, w), (pair, w)
+            sys = steady_state_system(net)
+            assert count_positive_steady_states(sys, w[:2], w[2:]).continuum, (pair, w)
+            if verdict.detail == "case 2":
+                # below the witness's class: inside exactly when the oracle sees states
+                low = (w[0], w[1], Fraction(-1))
+                counted = count_positive_steady_states(sys, low[:2], low[2:]).count
+                assert membership(enabling, low) == (counted >= 2), pair
+        assert seen == {"case 1": 100, "case 2": 264, "case 3": 400, "case 4": 400}
+
     def test_degenerate_case3_matches_oracle(self):
         net = parse_network("A + B -> A + 2B; k1\n2A + B -> 2A; k2")
         enabling, _ = region_two_species_two_reactions(net)
@@ -422,6 +457,18 @@ class TestAcrReduction:
         region = region_acr_reduction(net)
         (w,) = region.witnesses
         assert all(isinstance(v, Fraction) and v > 0 for v in w)
+        assert membership(region, w)
+        assert count_positive_steady_states(steady_state_system(net), w).count == 2
+
+    def test_witness_after_fifteen_halvings(self):
+        # the region is k2^2 k5 > 20000 k1 k3 k6: from all rates 1,
+        # _scale_into halves k1 fifteen times to enter it
+        net = parse_network(
+            "A -> A + B; k1\nA + B -> A; k2\n2B -> 5002B; k3\nA -> 2A; k5\n2A -> A; k6"
+        )
+        region = region_acr_reduction(net)
+        (w,) = region.witnesses
+        assert w == (Fraction(1, 2**15), 1, 1, 1, 1)
         assert membership(region, w)
         assert count_positive_steady_states(steady_state_system(net), w).count == 2
 

@@ -87,6 +87,11 @@ class TestRootCounting:
         assert sturm_count_open_interval(p, Fraction(0), Fraction(3)) == 2
         assert sturm_count_open_interval(p, Fraction(1), Fraction(3)) == 1
 
+    def test_descartes_only_on_the_whole_positive_axis(self):
+        # x - 1 has one sign change, but no root in (2, inf)
+        assert sturm_count_open_interval(poly(-1, 1), Fraction(2), None) == 0
+        assert sturm_count_open_interval(poly(-1, 1), Fraction(0), None) == 1
+
     def test_zero_poly_raises(self):
         with pytest.raises(ZeroPolynomialError):
             sturm_count_positive(UniPoly.zero())
@@ -209,6 +214,29 @@ class TestIntegerCore:
         monkeypatch.setattr(UniPoly, "squarefree_part", lambda q: calls.append(q) or real(q))
         assert positive_roots(p) == expected
         assert len(expected) == 2 and len(calls) == 1
+
+    def test_rational_roots_beyond_the_divisor_search(self):
+        # (x - 1)(x^2 - 2)(2x - (2^24 - 3)): the constant term is above
+        # DIVISOR_BOUND, so rational_roots skips its search and 1 and
+        # 16777213/2 stay in the bisected polynomial.  split must step off
+        # the midpoint 1, and refine_root returns the midpoint 16777213/2.
+        p = poly(-1, 1) * poly(-2, 0, 1) * poly(-(2**24 - 3), 2)
+        assert abs(p.coeffs[0]) > unipoly.DIVISOR_BOUND
+        assert rational_roots(p.squarefree_part()) == []
+        assert isolate_positive_roots(p) == [
+            (Fraction(1, 2), Fraction(5, 4)),
+            (Fraction(5, 4), Fraction(2)),
+            (Fraction(4194304), Fraction(8388608)),
+        ]
+        one, sqrt2, last = positive_roots(p)
+        assert abs(one - 1) <= unipoly.REL_WIDTH
+        assert abs(float(sqrt2) - 2**0.5) < 1e-11
+        assert last == Fraction(16777213, 2)
+
+    @pytest.mark.parametrize("a, b", [(Fraction(2), Fraction(5, 2)), (Fraction(5, 2), Fraction(3))])
+    def test_refine_rejects_a_root_at_an_end(self, a, b):
+        with pytest.raises(ValueError, match="not an isolating interval"):
+            refine_root(poly(6, -5, 1), a, b)  # (x - 2)(x - 3)
 
     @given(
         st.lists(st.integers(-9, 9), min_size=1, max_size=6).filter(any),
